@@ -21,6 +21,7 @@ from pathlib import Path
 from .data import (
     DEFAULT_CLASS_NAMES,
     SyntheticSpec,
+    _atomic_write_bytes,
     generate_synthetic,
     load_manifest,
     load_utterances,
@@ -155,10 +156,9 @@ def cmd_ensemble(args) -> int:
     report = ensemble_gain_report(per_model, truth, outcomes=outcomes)
 
     ens_dir = Path(args.out) / "ensemble"
-    ens_dir.mkdir(parents=True, exist_ok=True)
     label_lines = [f"{o.utt_id}\t{DEFAULT_CLASS_NAMES[o.label]}" for o in outcomes]
-    (ens_dir / "final_labels.tsv").write_text("\n".join(label_lines) + "\n")
-    (ens_dir / "report.txt").write_text(report.table() + "\n")
+    _atomic_write_bytes(ens_dir / "final_labels.tsv", ("\n".join(label_lines) + "\n").encode())
+    _atomic_write_bytes(ens_dir / "report.txt", (report.table() + "\n").encode())
     print(report.table())
     ties = tie_break_count(outcomes)
     if ties:

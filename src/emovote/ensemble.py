@@ -86,46 +86,50 @@ def _check_alignment(per_model: list[list[PredictionRecord]]):
     return n_classes
 
 
-def majority_vote(per_model: list[list[PredictionRecord]]) -> list[VoteOutcome]:
+def _summed_probs(records: list[PredictionRecord]) -> np.ndarray:
+    # fsum is exactly rounded, so the summed mass cannot depend on the order
+    # the models are listed in
+    return np.array([math.fsum(r.probs[c] for r in records)
+                     for c in range(len(records[0].probs))])
+
+
+def _pick_majority(records, tally) -> tuple[int, bool]:
+    top = max(tally)
+    leaders = [c for c, n in enumerate(tally) if n == top]
+    if len(leaders) == 1:
+        return leaders[0], False
+    # argmax over leaders only; np.argmax takes the first (lowest class index) on ties
+    summed = _summed_probs(records)
+    return leaders[int(np.argmax(summed[leaders]))], True
+
+
+def _pick_average(records, tally) -> tuple[int, bool]:
+    return int(np.argmax(_summed_probs(records) / len(records))), False
+
+
+def _vote(per_model: list[list[PredictionRecord]], pick, rule: str) -> list[VoteOutcome]:
     """One outcome per utterance, in the first model's record order."""
     n_classes = _check_alignment(per_model)
     by_id = [{r.utt_id: r for r in recs} for recs in per_model]
     outcomes = []
     for first in per_model[0]:
         records = [m[first.utt_id] for m in by_id]
-        tally = Counter(r.predicted for r in records)
-        top = max(tally.values())
-        leaders = [c for c in range(n_classes) if tally.get(c, 0) == top]
-        if len(leaders) == 1:
-            label, tie = leaders[0], False
-        else:
-            # fsum is exactly rounded, so the summed mass (and therefore the
-            # tie-break) cannot depend on the order the models are listed in
-            summed = np.array([math.fsum(r.probs[c] for r in records)
-                               for c in range(n_classes)])
-            # argmax over leaders only; np.argmax takes the first (lowest class index) on ties
-            label = leaders[int(np.argmax(summed[leaders]))]
-            tie = True
-        full_tally = tuple(tally.get(c, 0) for c in range(n_classes))
-        outcomes.append(VoteOutcome(utt_id=first.utt_id, label=label,
-                                    tally=full_tally, tie_broken=tie))
+        counts = Counter(r.predicted for r in records)
+        tally = tuple(counts.get(c, 0) for c in range(n_classes))
+        label, tie = pick(records, tally)
+        outcomes.append(VoteOutcome(utt_id=first.utt_id, label=label, tally=tally,
+                                    tie_broken=tie, rule=rule))
     return outcomes
+
+
+def majority_vote(per_model: list[list[PredictionRecord]]) -> list[VoteOutcome]:
+    """Hard vote; ties go to the highest summed probability, then the lowest class."""
+    return _vote(per_model, _pick_majority, "majority")
 
 
 def probability_average_vote(per_model: list[list[PredictionRecord]]) -> list[VoteOutcome]:
     """Alternative soft rule: argmax of the mean probability vector."""
-    n_classes = _check_alignment(per_model)
-    by_id = [{r.utt_id: r for r in recs} for recs in per_model]
-    outcomes = []
-    for first in per_model[0]:
-        records = [m[first.utt_id] for m in by_id]
-        mean = np.array([math.fsum(r.probs[c] for r in records)
-                         for c in range(n_classes)]) / len(records)
-        tally = Counter(r.predicted for r in records)
-        outcomes.append(VoteOutcome(utt_id=first.utt_id, label=int(np.argmax(mean)),
-                                    tally=tuple(tally.get(c, 0) for c in range(n_classes)),
-                                    tie_broken=False, rule="average"))
-    return outcomes
+    return _vote(per_model, _pick_average, "average")
 
 
 def tie_break_count(outcomes: list[VoteOutcome]) -> int:

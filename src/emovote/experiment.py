@@ -24,7 +24,6 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .data import (
-    DEFAULT_CLASS_NAMES,
     SyntheticSpec,
     count_labels,
     load_manifest,
@@ -146,11 +145,11 @@ class ExperimentConfig:
         return cls(**kwargs)
 
 
-def load_experiment_config(path) -> ExperimentConfig:
-    """Read a YAML or JSON experiment config file."""
+def _read_mapping(path, what: str) -> dict:
+    """Read a YAML or JSON file whose root must be a mapping; ``what`` names it in errors."""
     path = Path(path)
     if not path.exists():
-        raise FileNotFoundError(f"config file not found: {path}")
+        raise FileNotFoundError(f"{what} file not found: {path}")
     text = path.read_text()
     if path.suffix == ".json":
         raw = json.loads(text)
@@ -158,23 +157,18 @@ def load_experiment_config(path) -> ExperimentConfig:
         import yaml
         raw = yaml.safe_load(text)
     if not isinstance(raw, dict):
-        raise ValueError(f"{path}: config root must be a mapping")
-    return ExperimentConfig.from_dict(raw)
+        raise ValueError(f"{path}: {what} root must be a mapping")
+    return raw
+
+
+def load_experiment_config(path) -> ExperimentConfig:
+    """Read a YAML or JSON experiment config file."""
+    return ExperimentConfig.from_dict(_read_mapping(path, "config"))
 
 
 def load_synthetic_spec(path) -> SyntheticSpec:
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"synthetic spec file not found: {path}")
-    text = path.read_text()
-    if path.suffix == ".json":
-        raw = json.loads(text)
-    else:
-        import yaml
-        raw = yaml.safe_load(text)
-    if not isinstance(raw, dict):
-        raise ValueError(f"{path}: spec root must be a mapping")
-    return SyntheticSpec.from_dict(raw)
+    """Read a YAML or JSON synthetic-spec file."""
+    return SyntheticSpec.from_dict(_read_mapping(path, "synthetic spec"))
 
 
 def model_seed(base_seed: int, tag: str) -> int:

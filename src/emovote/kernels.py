@@ -1,39 +1,14 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""Hot numeric kernels: softmax, layer norm, the fused Adam step, Levenshtein.
 
-Every kernel exists twice: ``<name>_numpy`` (vectorized numpy) and
-``<name>_numba`` (an ``@njit`` loop version, present only when numba imports).
-The module-level names (``softmax_fwd`` etc.) are bound to one of the two at
-import time:
-
-* ``EMOVOTE_BACKEND=numpy``  forces the numpy fallback,
-* ``EMOVOTE_BACKEND=numba``  requires numba (raises if unavailable),
-* unset / ``auto``           uses numba when importable, numpy otherwise.
-
-Both paths are single-threaded and deterministic run-to-run; they may differ
-from each other in last-bit rounding (different summation order).
-Row statistics (softmax sums, layer-norm mean/var) accumulate in float64 on
-both paths so float32 inputs do not lose precision.
+Each kernel is vectorized numpy, single-threaded and deterministic run to
+run. Row statistics (softmax sums, layer-norm mean/var) accumulate in
+float64 so float32 inputs do not lose precision.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_ENV_FLAG = "EMOVOTE_BACKEND"
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only on numba-less installs
-    HAVE_NUMBA = False
-
-
-# ---------------------------------------------------------------------------
-# numpy fallback path
-# ---------------------------------------------------------------------------
 
 def softmax_fwd_numpy(x):
     """Row-wise softmax of a 2D array, max-subtracted for stability."""
@@ -64,14 +39,12 @@ def layernorm_fwd_numpy(x, gain, bias, eps):
 
 def layernorm_bwd_numpy(dy, xhat, rstd, gain):
     """Backward of layer norm; returns (dx, dgain, dbias)."""
-    d = dy.shape[1]
     dgain = (dy * xhat).sum(axis=0, dtype=np.float64).astype(dy.dtype)
     dbias = dy.sum(axis=0, dtype=np.float64).astype(dy.dtype)
     dxhat = dy * gain
     m1 = dxhat.mean(axis=1, keepdims=True, dtype=np.float64)
     m2 = (dxhat * xhat).mean(axis=1, keepdims=True, dtype=np.float64)
     dx = (dxhat - m1 - xhat * m2).astype(dy.dtype) * rstd[:, None]
-    del d
     return dx, dgain, dbias
 
 
@@ -113,175 +86,15 @@ def levenshtein_numpy(a, b):
     return int(prev[n])
 
 
-# ---------------------------------------------------------------------------
-# numba fast path
-# ---------------------------------------------------------------------------
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def softmax_fwd_numba(x):
-        out = np.empty_like(x)
-        for i in range(x.shape[0]):
-            m = x[i, 0]
-            for j in range(1, x.shape[1]):
-                if x[i, j] > m:
-                    m = x[i, j]
-            s = 0.0
-            for j in range(x.shape[1]):
-                e = np.exp(x[i, j] - m)
-                out[i, j] = e
-                s += e
-            for j in range(x.shape[1]):
-                out[i, j] /= s
-        return out
-
-    @njit(cache=True)
-    def softmax_bwd_numba(y, dy):
-        dx = np.empty_like(y)
-        for i in range(y.shape[0]):
-            inner = 0.0
-            for j in range(y.shape[1]):
-                inner += dy[i, j] * y[i, j]
-            for j in range(y.shape[1]):
-                dx[i, j] = (dy[i, j] - inner) * y[i, j]
-        return dx
-
-    @njit(cache=True)
-    def layernorm_fwd_numba(x, gain, bias, eps):
-        rows, d = x.shape
-        y = np.empty_like(x)
-        xhat = np.empty_like(x)
-        rstd = np.empty(rows, dtype=x.dtype)
-        for i in range(rows):
-            mu = 0.0
-            for j in range(d):
-                mu += x[i, j]
-            mu /= d
-            var = 0.0
-            for j in range(d):
-                delta = x[i, j] - mu
-                var += delta * delta
-            var /= d
-            r = 1.0 / np.sqrt(var + eps)
-            rstd[i] = r
-            for j in range(d):
-                h = (x[i, j] - mu) * r
-                xhat[i, j] = h
-                y[i, j] = h * gain[j] + bias[j]
-        return y, xhat, rstd
-
-    @njit(cache=True)
-    def layernorm_bwd_numba(dy, xhat, rstd, gain):
-        rows, d = dy.shape
-        dx = np.empty_like(dy)
-        dgain = np.zeros(d, dtype=np.float64)
-        dbias = np.zeros(d, dtype=np.float64)
-        for i in range(rows):
-            m1 = 0.0
-            m2 = 0.0
-            for j in range(d):
-                dgain[j] += dy[i, j] * xhat[i, j]
-                dbias[j] += dy[i, j]
-                dxh = dy[i, j] * gain[j]
-                m1 += dxh
-                m2 += dxh * xhat[i, j]
-            m1 /= d
-            m2 /= d
-            for j in range(d):
-                dxh = dy[i, j] * gain[j]
-                dx[i, j] = (dxh - m1 - xhat[i, j] * m2) * rstd[i]
-        return dx, dgain.astype(dy.dtype), dbias.astype(dy.dtype)
-
-    @njit(cache=True)
-    def adam_step_numba(p, g, m, v, lr, beta1, beta2, eps, bc1, bc2):
-        # cast the hyperparameters once; float64 scalars would otherwise
-        # promote every element of the float32 loop
-        one = p.dtype.type(1)
-        lr_ = p.dtype.type(lr)
-        b1 = p.dtype.type(beta1)
-        b2 = p.dtype.type(beta2)
-        eps_ = p.dtype.type(eps)
-        c1 = p.dtype.type(bc1)
-        c2 = p.dtype.type(bc2)
-        for i in range(p.shape[0]):
-            mi = b1 * m[i] + (one - b1) * g[i]
-            vi = b2 * v[i] + (one - b2) * (g[i] * g[i])
-            m[i] = mi
-            v[i] = vi
-            p[i] -= lr_ * (mi / c1) / (np.sqrt(vi / c2) + eps_)
-
-    @njit(cache=True)
-    def levenshtein_numba(a, b):
-        la, lb = a.shape[0], b.shape[0]
-        if la == 0:
-            return lb
-        if lb == 0:
-            return la
-        prev = np.arange(lb + 1)
-        cur = np.empty(lb + 1, dtype=np.int64)
-        for i in range(1, la + 1):
-            cur[0] = i
-            for j in range(1, lb + 1):
-                cost = 0 if a[i - 1] == b[j - 1] else 1
-                best = prev[j - 1] + cost
-                if prev[j] + 1 < best:
-                    best = prev[j] + 1
-                if cur[j - 1] + 1 < best:
-                    best = cur[j - 1] + 1
-                cur[j] = best
-            prev, cur = cur, prev
-        return prev[lb]
-
-
-# ---------------------------------------------------------------------------
-# backend selection
-# ---------------------------------------------------------------------------
-
-def _select_backend():
-    mode = os.environ.get(_ENV_FLAG, "auto").lower()
-    if mode not in ("auto", "numba", "numpy"):
-        raise ValueError(f"{_ENV_FLAG} must be 'auto', 'numba' or 'numpy', got {mode!r}")
-    if mode == "numba" and not HAVE_NUMBA:
-        raise RuntimeError(f"{_ENV_FLAG}=numba but numba is not importable")
-    if mode == "numpy":
-        return "numpy"
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-BACKEND = _select_backend()
-
-if BACKEND == "numba":
-    softmax_fwd = softmax_fwd_numba
-    softmax_bwd = softmax_bwd_numba
-    layernorm_fwd = layernorm_fwd_numba
-    layernorm_bwd = layernorm_bwd_numba
-    adam_step = adam_step_numba
-    levenshtein = levenshtein_numba
-else:
-    softmax_fwd = softmax_fwd_numpy
-    softmax_bwd = softmax_bwd_numpy
-    layernorm_fwd = layernorm_fwd_numpy
-    layernorm_bwd = layernorm_bwd_numpy
-    adam_step = adam_step_numpy
-    levenshtein = levenshtein_numpy
+# the _numpy names stay because perfbench/kernel_timings.py times them directly
+softmax_fwd = softmax_fwd_numpy
+softmax_bwd = softmax_bwd_numpy
+layernorm_fwd = layernorm_fwd_numpy
+layernorm_bwd = layernorm_bwd_numpy
+adam_step = adam_step_numpy
+levenshtein = levenshtein_numpy
 
 
 def active_backend() -> str:
-    """Name of the kernel path selected at import time."""
-    return BACKEND
-
-
-def warmup():
-    """Trigger JIT compilation of all kernels (no-op on the numpy path)."""
-    for dt in (np.float32, np.float64):
-        x = np.ones((2, 3), dtype=dt)
-        y = softmax_fwd(x)
-        softmax_bwd(y, x)
-        g = np.ones(3, dtype=dt)
-        yy, xhat, rstd = layernorm_fwd(x, g, g, 1e-5)
-        layernorm_bwd(yy, xhat, rstd, g)
-        flat = np.ones(4, dtype=dt)
-        adam_step(flat, flat.copy(), flat.copy(), flat.copy(),
-                  1e-3, 0.9, 0.999, 1e-8, 0.1, 0.001)
-    levenshtein(np.arange(3), np.arange(4))
+    """Name of the kernel implementation; numpy is the only one."""
+    return "numpy"

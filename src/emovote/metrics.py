@@ -141,14 +141,7 @@ def tokenize(text: str, lowercase: bool = True, strip_punct: bool = True) -> lis
 
 def wer(ref_tokens, hyp_tokens) -> float:
     """(substitutions + deletions + insertions) / len(ref); may exceed 1."""
-    ref = list(ref_tokens)
-    hyp = list(hyp_tokens)
-    if not ref:
-        raise ValueError("wer: reference must be non-empty")
-    vocab: dict[str, int] = {}
-    ref_ids = np.array([vocab.setdefault(t, len(vocab)) for t in ref], dtype=np.int64)
-    hyp_ids = np.array([vocab.setdefault(t, len(vocab)) for t in hyp], dtype=np.int64)
-    return float(kernels.levenshtein(ref_ids, hyp_ids)) / len(ref)
+    return corpus_wer([ref_tokens], [hyp_tokens])
 
 
 def corpus_wer(refs, hyps) -> float:

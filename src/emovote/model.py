@@ -60,7 +60,6 @@ class ModelConfig:
     text_dim: int
     hidden: int = 512
     n_transformer_layers: int = 2
-    n_heads: int = 1
     n_classes: int = 8
     fusion: str = "early"
     lmf_rank: int = 4
@@ -70,8 +69,6 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_heads != 1:
-            raise ValueError(f"n_heads is fixed at 1, got {self.n_heads}")
         if self.hidden <= 0:
             raise ValueError("hidden must be > 0")
         if self.n_classes < 2:
@@ -92,6 +89,10 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
+        d = dict(d)
+        # v1 checkpoint headers carry the single-head attention as "n_heads": 1
+        if d.pop("n_heads", 1) != 1:
+            raise ValueError("n_heads must be 1 (attention is single-head)")
         known = {f.name for f in fields(cls)}
         unknown = set(d) - known
         if unknown:
@@ -418,9 +419,13 @@ def load_checkpoint(path) -> Model:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
     off = 12
     try:
-        config = ModelConfig.from_dict(json.loads(raw[off:off + cfg_len].decode()))
+        cfg_dict = json.loads(raw[off:off + cfg_len].decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ValueError(f"{path}: not a model checkpoint (config header unreadable)") from e
+    try:
+        config = ModelConfig.from_dict(cfg_dict)
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"{path}: bad checkpoint config: {e}") from e
     off += cfg_len
     (n_tensors,) = struct.unpack_from("<I", raw, off)
     off += 4

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import kernels
 from .autodiff import NumericsError
-from .data import Utterance, make_batches
+from .data import Utterance, _atomic_write_bytes, make_batches
 from .ensemble import PredictionRecord
 from .losses import LossConfig, compute_loss
 from .metrics import MetricBundle, bundle_from_labels
@@ -168,8 +168,7 @@ class TrainReport:
                 "wall_seconds": self.wall_seconds}
 
     def save(self, path):
-        Path(path).parent.mkdir(parents=True, exist_ok=True)
-        Path(path).write_text(json.dumps(self.as_dict(), indent=2) + "\n")
+        _atomic_write_bytes(path, (json.dumps(self.as_dict(), indent=2) + "\n").encode())
 
 
 def evaluate(model: Model, dataset: list[Utterance], batch_size: int = 128,

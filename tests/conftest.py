@@ -1,17 +1,10 @@
-"""Shared fixtures: kernel warmup and a small on-disk synthetic corpus."""
+"""Shared fixtures: a seeded RNG and a small on-disk synthetic corpus."""
 
 import numpy as np
 import pytest
 
-from emovote import kernels
 from emovote.data import (SyntheticSpec, generate_synthetic, load_manifest,
                           load_utterances)
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    """Pay the one-time JIT cost before any timed test runs."""
-    kernels.warmup()
 
 
 @pytest.fixture()

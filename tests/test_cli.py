@@ -280,6 +280,24 @@ def test_ensemble_average_probs_flag(trained_runs, cli_data_dir, tmp_path):
     assert code == 0
 
 
+def test_ensemble_write_failure_keeps_previous_outputs(trained_runs, cli_data_dir,
+                                                      tmp_path, monkeypatch, capsys):
+    preds = [str(trained_runs / tag / "predictions.jsonl") for tag in ("model1", "model5")]
+    labels = ["--labels", str(cli_data_dir / "whisper" / "dev.tsv"), "--out", str(tmp_path)]
+    assert main(["ensemble", preds[0], *labels]) == 0
+    ens_dir = tmp_path / "ensemble"
+    before = {p.name: p.read_bytes() for p in ens_dir.iterdir()}
+    assert sorted(before) == ["final_labels.tsv", "report.txt"]
+
+    def fail_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("os.replace", fail_replace)
+    assert main(["ensemble", *preds, *labels]) == 1
+    assert "disk full" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in ens_dir.iterdir()} == before
+
+
 def test_ensemble_mismatched_ids_fail(trained_runs, cli_data_dir, tmp_path, capsys):
     train_preds = tmp_path / "train_preds.jsonl"
     code = main(["eval", "--checkpoint", str(trained_runs / "model1" / "checkpoint.bin"),

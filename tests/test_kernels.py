@@ -1,19 +1,9 @@
-"""Kernel correctness: numpy/numba agreement, oracles, and backend selection."""
-
-import subprocess
-import sys
+"""Kernel correctness against direct formulas, finite differences and oracles."""
 
 import numpy as np
-import pytest
 
 from emovote import kernels
 
-needs_numba = pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba not installed")
-
-
-# ---------------------------------------------------------------------------
-# semantics of the active backend
-# ---------------------------------------------------------------------------
 
 def test_softmax_uniform_on_equal_logits():
     out = kernels.softmax_fwd(np.zeros((1, 3), dtype=np.float32))
@@ -126,104 +116,3 @@ def test_levenshtein_matches_brute_force(rng):
         got = kernels.levenshtein(a, b)
         assert got == brute_force_edit_distance(list(a), list(b))
         assert got == kernels.levenshtein(b, a)
-
-
-def test_warmup_is_idempotent():
-    kernels.warmup()
-    kernels.warmup()
-
-
-# ---------------------------------------------------------------------------
-# numpy path vs numba path
-# ---------------------------------------------------------------------------
-
-@needs_numba
-@pytest.mark.parametrize("dtype,rtol", [(np.float32, 2e-6), (np.float64, 1e-12)])
-def test_softmax_paths_agree(rng, dtype, rtol):
-    x = (rng.standard_normal((64, 9)) * 4).astype(dtype)
-    y_np = kernels.softmax_fwd_numpy(x)
-    y_nb = kernels.softmax_fwd_numba(x)
-    np.testing.assert_allclose(y_nb, y_np, rtol=rtol, atol=rtol)
-    dy = rng.standard_normal((64, 9)).astype(dtype)
-    np.testing.assert_allclose(kernels.softmax_bwd_numba(y_nb, dy),
-                               kernels.softmax_bwd_numpy(y_np, dy),
-                               rtol=rtol, atol=rtol)
-
-
-@needs_numba
-@pytest.mark.parametrize("dtype,rtol", [(np.float32, 2e-5), (np.float64, 1e-11)])
-def test_layernorm_paths_agree(rng, dtype, rtol):
-    x = rng.standard_normal((32, 24)).astype(dtype)
-    gain = rng.standard_normal(24).astype(dtype)
-    bias = rng.standard_normal(24).astype(dtype)
-    y_np, xh_np, rs_np = kernels.layernorm_fwd_numpy(x, gain, bias, 1e-5)
-    y_nb, xh_nb, rs_nb = kernels.layernorm_fwd_numba(x, gain, bias, 1e-5)
-    np.testing.assert_allclose(y_nb, y_np, rtol=rtol, atol=rtol)
-    np.testing.assert_allclose(rs_nb, rs_np, rtol=rtol)
-    dy = rng.standard_normal((32, 24)).astype(dtype)
-    for got, want in zip(kernels.layernorm_bwd_numba(dy, xh_nb, rs_nb, gain),
-                         kernels.layernorm_bwd_numpy(dy, xh_np, rs_np, gain)):
-        np.testing.assert_allclose(got, want, rtol=rtol, atol=rtol)
-
-
-@needs_numba
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_adam_paths_agree_bitwise(rng, dtype):
-    """Adam uses only correctly-rounded IEEE ops in matched order, so the two
-    paths must agree to the bit, which is what makes training runs
-    backend-portable at the checkpoint level."""
-    n = 257
-    p = rng.standard_normal(n).astype(dtype)
-    g = rng.standard_normal(n).astype(dtype)
-    m = (rng.standard_normal(n) * 0.1).astype(dtype)
-    v = np.abs(rng.standard_normal(n)).astype(dtype) * 0.1
-    args = (1e-3, 0.9, 0.999, 1e-8, 0.271, 0.00997)
-    p2, g2, m2, v2 = p.copy(), g.copy(), m.copy(), v.copy()
-    kernels.adam_step_numpy(p, g, m, v, *args)
-    kernels.adam_step_numba(p2, g2, m2, v2, *args)
-    assert np.array_equal(p, p2)
-    assert np.array_equal(m, m2)
-    assert np.array_equal(v, v2)
-
-
-@needs_numba
-def test_levenshtein_paths_agree(rng):
-    for _ in range(50):
-        a = rng.integers(0, 6, size=rng.integers(0, 30))
-        b = rng.integers(0, 6, size=rng.integers(0, 30))
-        assert kernels.levenshtein_numpy(a, b) == kernels.levenshtein_numba(a, b)
-
-
-# ---------------------------------------------------------------------------
-# backend selection flag
-# ---------------------------------------------------------------------------
-
-def _backend_in_subprocess(env_value):
-    code = ("import emovote.kernels as k; print(k.active_backend())")
-    env = {"EMOVOTE_BACKEND": env_value} if env_value is not None else {}
-    import os
-    full_env = dict(os.environ)
-    full_env.pop("EMOVOTE_BACKEND", None)
-    full_env.update(env)
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=full_env)
-    return proc
-
-
-def test_backend_flag_forces_numpy():
-    proc = _backend_in_subprocess("numpy")
-    assert proc.returncode == 0
-    assert proc.stdout.strip() == "numpy"
-
-
-@needs_numba
-def test_backend_flag_auto_prefers_numba():
-    proc = _backend_in_subprocess(None)
-    assert proc.returncode == 0
-    assert proc.stdout.strip() == "numba"
-
-
-def test_backend_flag_rejects_unknown_value():
-    proc = _backend_in_subprocess("cuda")
-    assert proc.returncode != 0
-    assert "EMOVOTE_BACKEND" in proc.stderr

@@ -166,6 +166,9 @@ def test_corpus_wer_matches_oracle(rng):
             hyps.append([vocab[i] for i in rng.integers(0, 7, size=rng.integers(0, 15))])
         np.testing.assert_allclose(corpus_wer(refs, hyps),
                                    oracle_corpus_wer(refs, hyps), atol=1e-12)
+        r, h = refs[0], hyps[0]
+        assert wer(r, h) == corpus_wer([r], [h])
+        np.testing.assert_allclose(wer(r, h), oracle_corpus_wer([r], [h]), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

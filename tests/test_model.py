@@ -1,5 +1,8 @@
 """Model architecture: config, fusion operations, forward semantics, checkpoints."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -24,7 +27,7 @@ def small_config(**overrides):
 
 def test_config_rejects_bad_values():
     with pytest.raises(ValueError, match="n_heads"):
-        small_config(n_heads=2)
+        ModelConfig.from_dict({**small_config().to_dict(), "n_heads": 2})
     with pytest.raises(ValueError, match="hidden"):
         small_config(hidden=0)
     with pytest.raises(ValueError, match="n_classes"):
@@ -467,3 +470,41 @@ def test_checkpoint_rejects_shape_mismatch(tmp_path):
     path.write_bytes(raw.replace(b'"hidden": 8', b'"hidden": 9'))
     with pytest.raises(ValueError, match="does not match"):
         load_checkpoint(path)
+
+
+def _rewrite_config_header(path, **extra):
+    """Re-serialize the checkpoint's JSON config header with extra keys, as an
+    older writer with more config fields would have emitted it."""
+    raw = path.read_bytes()
+    version, cfg_len = struct.unpack("<II", raw[4:12])
+    cfg = {**json.loads(raw[12:12 + cfg_len]), **extra}
+    blob = json.dumps(cfg, sort_keys=True).encode()
+    path.write_bytes(raw[:4] + struct.pack("<II", version, len(blob)) + blob
+                     + raw[12 + cfg_len:])
+
+
+def test_v1_checkpoint_with_single_head_key_loads_bitwise(rng, tmp_path):
+    model = Model(small_config(fusion="late", seed=5))
+    for t in model.parameters.values():
+        t.data = t.data + rng.standard_normal(t.shape).astype(np.float32) * 0.01
+    path = tmp_path / "old.ckpt"
+    save_checkpoint(path, model)
+    _rewrite_config_header(path, n_heads=1)
+    assert b'"n_heads": 1' in path.read_bytes()
+    back = load_checkpoint(path)
+    assert back.config == model.config
+    for name in model.parameters:
+        np.testing.assert_array_equal(back.parameters[name].data,
+                                      model.parameters[name].data)
+    batch = make_batch(rng, 4, 10, 8)
+    np.testing.assert_array_equal(back.predict_probs(batch), model.predict_probs(batch))
+
+
+@pytest.mark.parametrize("bad,reason", [({"n_heads": 2}, "n_heads must be 1"),
+                                        ({"audio_dim": None}, "not supported")])
+def test_checkpoint_with_bad_config_is_refused_naming_the_file(tmp_path, bad, reason):
+    path = _saved_checkpoint(tmp_path)
+    _rewrite_config_header(path, **bad)
+    with pytest.raises(ValueError, match=reason) as err:
+        load_checkpoint(path)
+    assert str(path) in str(err.value)

@@ -230,6 +230,24 @@ def test_train_report_traces_and_artifacts(tiny_corpus, tmp_path):
     assert json.loads(report_path.read_text())["best_epoch"] == report.best_epoch
 
 
+def test_report_save_failure_keeps_previous_report(tmp_path, monkeypatch):
+    report = TrainReport(train_loss=[1.5], dev_macro_f1=[0.2], dev_wa=[0.3], dev_ua=[0.4],
+                         lr_trace=[1e-3], best_epoch=0, best_checkpoint="a.ckpt")
+    path = tmp_path / "report.json"
+    report.save(path)
+    before = path.read_bytes()
+    report.train_loss.append(0.9)
+
+    def fail_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("os.replace", fail_replace)
+    with pytest.raises(OSError, match="disk full"):
+        report.save(path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
 def test_train_same_seed_is_bit_identical(tiny_corpus, tmp_path):
     train_set, dev_set = tiny_corpus
     cfg = tiny_train_config(max_epochs=2, seed=9)

@@ -12,7 +12,6 @@ from .autodiff import (
     ShapeError,
     Tensor,
     grad_check,
-    set_finite_checks,
 )
 from .data import (
     Batch,

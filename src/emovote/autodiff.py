@@ -8,7 +8,7 @@ reverse topological order and accumulates gradients into ``.grad``.
 Training runs in float32; gradient checking runs the same graph in float64
 (see :func:`grad_check`). Every op asserts its output is finite; a NaN/Inf
 anywhere raises :class:`NumericsError` immediately rather than corrupting the
-run. The check can be disabled for benchmarking via :func:`set_finite_checks`.
+run.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ import numpy as np
 from . import kernels
 
 DEFAULT_DTYPE = np.float32
-
-_FINITE_CHECKS = True
 
 
 class NumericsError(RuntimeError):
@@ -36,16 +34,8 @@ class EmptySequenceError(ValueError):
     """A sequence op received a mask with no valid positions."""
 
 
-def set_finite_checks(enabled: bool) -> bool:
-    """Toggle per-op NaN/Inf checking; returns the previous setting."""
-    global _FINITE_CHECKS
-    prev = _FINITE_CHECKS
-    _FINITE_CHECKS = bool(enabled)
-    return prev
-
-
 def _check_finite(arr: np.ndarray, op: str):
-    if _FINITE_CHECKS and not np.isfinite(arr).all():
+    if not np.isfinite(arr).all():
         raise NumericsError(f"non-finite values produced by op '{op}'")
 
 

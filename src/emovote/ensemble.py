@@ -66,9 +66,9 @@ class VoteOutcome:
             raise ValueError(f"{self.utt_id}: winning label must hold a maximal tally")
 
 
-def _check_alignment(per_model: list[list[PredictionRecord]]):
+def _check_alignment(per_model: list[list[PredictionRecord]], caller: str):
     if not per_model or any(not recs for recs in per_model):
-        raise ValueError("majority_vote needs >= 1 model with >= 1 record each")
+        raise ValueError(f"{caller} needs >= 1 model with >= 1 record each")
     id_sets = [frozenset(r.utt_id for r in recs) for recs in per_model]
     base = id_sets[0]
     for i, ids in enumerate(id_sets[1:], start=1):
@@ -107,9 +107,10 @@ def _pick_average(records, tally) -> tuple[int, bool]:
     return int(np.argmax(_summed_probs(records) / len(records))), False
 
 
-def _vote(per_model: list[list[PredictionRecord]], pick, rule: str) -> list[VoteOutcome]:
+def _vote(per_model: list[list[PredictionRecord]], pick, rule: str,
+          caller: str) -> list[VoteOutcome]:
     """One outcome per utterance, in the first model's record order."""
-    n_classes = _check_alignment(per_model)
+    n_classes = _check_alignment(per_model, caller)
     by_id = [{r.utt_id: r for r in recs} for recs in per_model]
     outcomes = []
     for first in per_model[0]:
@@ -124,12 +125,12 @@ def _vote(per_model: list[list[PredictionRecord]], pick, rule: str) -> list[Vote
 
 def majority_vote(per_model: list[list[PredictionRecord]]) -> list[VoteOutcome]:
     """Hard vote; ties go to the highest summed probability, then the lowest class."""
-    return _vote(per_model, _pick_majority, "majority")
+    return _vote(per_model, _pick_majority, "majority", "majority_vote")
 
 
 def probability_average_vote(per_model: list[list[PredictionRecord]]) -> list[VoteOutcome]:
     """Alternative soft rule: argmax of the mean probability vector."""
-    return _vote(per_model, _pick_average, "average")
+    return _vote(per_model, _pick_average, "average", "probability_average_vote")
 
 
 def tie_break_count(outcomes: list[VoteOutcome]) -> int:
@@ -156,7 +157,7 @@ def ensemble_gain_report(per_model: list[list[PredictionRecord]],
                          true_labels: dict[str, int],
                          outcomes: list[VoteOutcome] | None = None) -> GainReport:
     """Compare each model's metrics against the majority-vote ensemble."""
-    n_classes = _check_alignment(per_model)
+    n_classes = _check_alignment(per_model, "ensemble_gain_report")
     missing = [r.utt_id for r in per_model[0] if r.utt_id not in true_labels]
     if missing:
         raise ValueError(f"true labels missing for: {missing[:20]}")

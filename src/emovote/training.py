@@ -160,6 +160,8 @@ class TrainReport:
     best_epoch: int
     best_checkpoint: str
     wall_seconds: float = 0.0
+    # the best epoch's dev predictions, made during training; save() leaves them out
+    best_records: list[PredictionRecord] = field(default_factory=list, repr=False)
 
     def as_dict(self) -> dict:
         return {"train_loss": self.train_loss, "dev_macro_f1": self.dev_macro_f1,
@@ -192,9 +194,12 @@ def evaluate(model: Model, dataset: list[Utterance], batch_size: int = 128,
 
 
 def train(model: Model, train_set: list[Utterance], dev_set: list[Utterance],
-          cfg: TrainConfig, checkpoint_path, log_path=None) -> TrainReport:
-    """Optimize the model; keeps the checkpoint of the best dev-Macro-F1 epoch.
+          cfg: TrainConfig, checkpoint_path, log_path=None,
+          model_tag: str = "model") -> TrainReport:
+    """Optimize the model; keeps the checkpoint and the dev records (tagged
+    ``model_tag``) of the best dev-Macro-F1 epoch.
 
+    ``log_path`` gets one JSON line per epoch, flushed as the epoch ends.
     Raises NumericsError with epoch/batch coordinates if the loss or any
     gradient stops being finite.
     """
@@ -206,7 +211,10 @@ def train(model: Model, train_set: list[Utterance], dev_set: list[Utterance],
     started = time.monotonic()
     sched = PlateauScheduler(cfg.initial_lr, cfg.scheduler.factor, cfg.scheduler.patience)
     opt = Adam(model.parameters, lr=cfg.initial_lr, clip_norm=cfg.clip_norm)
-    log_lines = []
+    if log_path is not None:
+        log_path = Path(log_path)
+        log_path.parent.mkdir(parents=True, exist_ok=True)
+        log_path.write_text("")
     report = TrainReport(train_loss=[], dev_macro_f1=[], dev_wa=[], dev_ua=[],
                          lr_trace=[], best_epoch=-1, best_checkpoint=str(checkpoint_path))
     best_f1 = -math.inf
@@ -231,7 +239,7 @@ def train(model: Model, train_set: list[Utterance], dev_set: list[Utterance],
             total_loss += loss_val * batch.size
             total_n += batch.size
         epoch_loss = total_loss / total_n
-        _, bundle = evaluate(model, dev_set, cfg.batch_size)
+        records, bundle = evaluate(model, dev_set, cfg.batch_size, model_tag=model_tag)
         report.train_loss.append(epoch_loss)
         report.dev_macro_f1.append(bundle.macro_f1)
         report.dev_wa.append(bundle.wa)
@@ -240,14 +248,14 @@ def train(model: Model, train_set: list[Utterance], dev_set: list[Utterance],
         if bundle.macro_f1 > best_f1:  # strict: ties keep the earliest epoch
             best_f1 = bundle.macro_f1
             report.best_epoch = epoch
+            report.best_records = records
             save_checkpoint(checkpoint_path, model)
         sched.step(bundle.macro_f1)
-        log_lines.append(json.dumps({"epoch": epoch, "lr": opt.lr,
-                                     "train_loss": epoch_loss,
-                                     "dev_macro_f1": bundle.macro_f1,
-                                     "dev_wa": bundle.wa, "dev_ua": bundle.ua}))
+        if log_path is not None:
+            with log_path.open("a") as log:
+                log.write(json.dumps({"epoch": epoch, "lr": opt.lr,
+                                      "train_loss": epoch_loss,
+                                      "dev_macro_f1": bundle.macro_f1,
+                                      "dev_wa": bundle.wa, "dev_ua": bundle.ua}) + "\n")
     report.wall_seconds = time.monotonic() - started
-    if log_path is not None:
-        Path(log_path).parent.mkdir(parents=True, exist_ok=True)
-        Path(log_path).write_text("\n".join(log_lines) + "\n")
     return report

@@ -7,7 +7,7 @@ from emovote.autodiff import (EmptySequenceError, NumericsError, ShapeError,
                               Tensor, add, clamp_min, concat, div, dropout,
                               gather_rows, grad_check, layer_norm, log,
                               masked_mean_pool, matmul, mul, neg, pow_const,
-                              relu, reshape, set_finite_checks, softmax, sub,
+                              relu, reshape, softmax, sub,
                               tmean, transpose_last, tsum)
 from helpers import leaf
 
@@ -288,16 +288,9 @@ def test_no_grad_leaves_are_skipped():
     np.testing.assert_array_equal(w.grad, np.ones(3))
 
 
-def test_finite_check_raises_on_inf_and_can_be_disabled():
+def test_finite_check_raises_on_inf():
     with pytest.raises(NumericsError), np.errstate(divide="ignore"):
         log(Tensor(np.zeros(2), requires_grad=True, dtype=np.float64))
-    assert set_finite_checks(False) is True
-    try:
-        with np.errstate(divide="ignore"):
-            out = log(Tensor(np.zeros(2), requires_grad=True, dtype=np.float64))
-        assert np.all(np.isneginf(out.data))
-    finally:
-        assert set_finite_checks(True) is False
 
 
 def test_grad_check_rejects_float32_params():

@@ -5,13 +5,15 @@ import json
 import numpy as np
 import pytest
 
+from emovote import experiment, training
 from emovote.cli import main
-from emovote.data import load_manifest, read_features
-from emovote.ensemble import read_records
+from emovote.data import load_manifest, load_utterances, read_features
+from emovote.ensemble import read_records, write_records
 from emovote.experiment import (AUDIO_SOURCES, ExperimentConfig, ModelSpec,
                                 default_models, load_experiment_config,
-                                load_synthetic_spec, model_seed)
+                                load_synthetic_spec, model_seed, run_model)
 from emovote.metrics import bleu, corpus_wer, gleu, tokenize
+from emovote.model import load_checkpoint
 
 
 SPEC_JSON = {
@@ -363,6 +365,43 @@ def test_text_metrics_rejects_bad_files(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # experiment configuration
 # ---------------------------------------------------------------------------
+
+def test_run_model_writes_the_best_epochs_train_time_predictions(cli_data_dir, tmp_path,
+                                                                  monkeypatch):
+    # seed 2 peaks at epoch 1 of 4, so the final weights are not the saved ones
+    cfg = ExperimentConfig(models=(ModelSpec("model1", "focal", 2.0, "prior"),),
+                           hidden=8, n_transformer_layers=1, batch_size=16,
+                           initial_lr=1e-3, max_epochs=4, seed=2)
+    calls = {"evaluate": 0, "load_checkpoint": 0}
+    real_evaluate = training.evaluate
+
+    def counting_evaluate(*args, **kwargs):
+        calls["evaluate"] += 1
+        return real_evaluate(*args, **kwargs)
+
+    def counting_load(path):
+        calls["load_checkpoint"] += 1
+        return load_checkpoint(path)
+
+    monkeypatch.setattr(training, "evaluate", counting_evaluate)
+    monkeypatch.setattr(experiment, "load_checkpoint", counting_load)
+    result = run_model(cfg, cfg.models[0], data_dir=cli_data_dir, out_dir=tmp_path)
+    assert calls == {"evaluate": cfg.max_epochs, "load_checkpoint": 0}
+
+    report = json.loads(result.report_path.read_text())
+    best = report["best_epoch"]
+    assert best < cfg.max_epochs - 1
+    assert "best_records" not in report
+    assert (result.dev_macro_f1, result.dev_wa, result.dev_ua) == (
+        report["dev_macro_f1"][best], report["dev_wa"][best], report["dev_ua"][best])
+    dev = load_utterances(load_manifest(cli_data_dir / "whisper" / "dev.tsv"))
+    records, bundle = real_evaluate(load_checkpoint(result.checkpoint_path), dev,
+                                    cfg.batch_size, model_tag="model1")
+    write_records(tmp_path / "reloaded.jsonl", records)
+    assert (result.predictions_path.read_bytes()
+            == (tmp_path / "reloaded.jsonl").read_bytes())
+    assert bundle.macro_f1 == result.dev_macro_f1
+
 
 def test_default_models_transcribe_the_published_ensemble():
     """The shipped 7-model roster, one row per ensemble member."""

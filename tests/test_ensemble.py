@@ -218,11 +218,20 @@ def test_vote_rejects_mismatched_class_counts():
         majority_vote([m0, m1])
 
 
-def test_vote_rejects_empty_inputs():
-    with pytest.raises(ValueError, match=">= 1 model"):
-        majority_vote([])
-    with pytest.raises(ValueError, match=">= 1 model"):
-        majority_vote([model_records("m", {"a": 0}), []])
+EMPTY_INPUT_CALLERS = {
+    "majority_vote": majority_vote,
+    "probability_average_vote": probability_average_vote,
+    "ensemble_gain_report": lambda per_model: ensemble_gain_report(per_model, {"a": 0}),
+}
+
+
+@pytest.mark.parametrize("name", EMPTY_INPUT_CALLERS)
+def test_vote_rejects_empty_inputs(name):
+    fn = EMPTY_INPUT_CALLERS[name]
+    with pytest.raises(ValueError, match=f"^{name} needs >= 1 model"):
+        fn([])
+    with pytest.raises(ValueError, match=f"^{name} needs >= 1 model"):
+        fn([model_records("m", {"a": 0}), []])
 
 
 # ---------------------------------------------------------------------------

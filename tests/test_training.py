@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from emovote import training
 from emovote.autodiff import NumericsError, Tensor
 from emovote.data import SyntheticSpec, generate_synthetic, load_manifest, load_utterances
 from emovote.losses import LossConfig, compute_loss
@@ -228,6 +229,31 @@ def test_train_report_traces_and_artifacts(tiny_corpus, tmp_path):
     report_path = tmp_path / "report.json"
     report.save(report_path)
     assert json.loads(report_path.read_text())["best_epoch"] == report.best_epoch
+
+
+def test_log_keeps_the_epochs_before_an_abort(tiny_corpus, tmp_path, monkeypatch):
+    train_set, dev_set = tiny_corpus
+    cfg = tiny_train_config(max_epochs=3, batch_size=len(train_set))  # one step per epoch
+    full_log = tmp_path / "full.log"
+    train(Model(tiny_model_config()), train_set, dev_set, cfg, tmp_path / "a.ckpt",
+          log_path=full_log)
+    first_line = full_log.read_text().splitlines(keepends=True)[0]
+
+    steps = []
+
+    def loss_inf_from_epoch_1(probs, labels, loss_cfg):
+        steps.append(None)
+        loss = compute_loss(probs, labels, loss_cfg)
+        return loss if len(steps) == 1 else Tensor(np.array(np.inf))
+
+    monkeypatch.setattr(training, "compute_loss", loss_inf_from_epoch_1)
+    log = tmp_path / "aborted.log"
+    log.write_text("stale line from an earlier run\n")
+    with pytest.raises(NumericsError, match="epoch 1, batch 0"):
+        train(Model(tiny_model_config()), train_set, dev_set, cfg, tmp_path / "b.ckpt",
+              log_path=log)
+    assert log.read_text() == first_line
+    assert json.loads(first_line)["epoch"] == 0
 
 
 def test_report_save_failure_keeps_previous_report(tmp_path, monkeypatch):

@@ -47,7 +47,6 @@ from .experiment import (
     run_model,
 )
 from .losses import (
-    ClassWeights,
     LossConfig,
     ce_loss,
     compute_loss,

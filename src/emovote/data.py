@@ -68,7 +68,7 @@ def write_features(path, frames: np.ndarray):
 
 
 def read_features(path) -> np.ndarray:
-    """Read a feature file back as a [T, d] float32 array."""
+    """Read a feature file back as a [T, d] float32 array; NaN or Inf is an error."""
     raw = Path(path).read_bytes()
     if raw[:4] != MAGIC:
         raise ValueError(f"{path}: not a feature file (bad magic {raw[:4]!r})")
@@ -79,7 +79,12 @@ def read_features(path) -> np.ndarray:
     if len(raw) != expected:
         raise ValueError(f"{path}: payload size mismatch (header says {t}x{d}, "
                          f"file has {len(raw)} bytes, expected {expected})")
-    return np.frombuffer(raw, dtype="<f4", offset=16).reshape(t, d).copy()
+    frames = np.frombuffer(raw, dtype="<f4", offset=16).reshape(t, d).copy()
+    finite = np.isfinite(frames)
+    if not finite.all():
+        frame, dim = np.argwhere(~finite)[0]
+        raise ValueError(f"{path}: non-finite feature value at frame {frame}, dim {dim}")
+    return frames
 
 
 def _atomic_write_bytes(path, payload: bytes):

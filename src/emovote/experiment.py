@@ -43,6 +43,11 @@ AUDIO_SOURCES = {
 }
 
 
+# config-file key -> ModelSpec field
+_SPEC_KEYS = {"tag": "tag", "loss": "loss_kind", "gamma": "gamma", "weights": "weight_scheme",
+              "audio": "audio_source", "fusion": "fusion"}
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """One ensemble member: loss configuration plus audio feature source."""
@@ -68,17 +73,20 @@ class ModelSpec:
             raise ValueError(f"{self.tag}: gamma must be >= 0")
 
     def to_dict(self) -> dict:
-        return {"tag": self.tag, "loss": self.loss_kind, "gamma": self.gamma,
-                "weights": self.weight_scheme, "audio": self.audio_source,
-                "fusion": self.fusion}
+        return {key: getattr(self, name) for key, name in _SPEC_KEYS.items()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelSpec":
-        return cls(tag=d["tag"], loss_kind=d.get("loss", "ce"),
-                   gamma=float(d.get("gamma", 0.0)),
-                   weight_scheme=d.get("weights", "uniform"),
-                   audio_source=d.get("audio", "whisper"),
-                   fusion=d.get("fusion", "early"))
+        if not isinstance(d, dict) or "tag" not in d:
+            raise ValueError(f"model spec needs a 'tag' key: {d!r}")
+        unknown = set(d) - set(_SPEC_KEYS)
+        if unknown:
+            raise ValueError(f"{d['tag']}: unknown model-spec keys {sorted(unknown)} "
+                             f"(known: {list(_SPEC_KEYS)})")
+        kwargs = {_SPEC_KEYS[key]: value for key, value in d.items()}
+        if "gamma" in kwargs:
+            kwargs["gamma"] = float(kwargs["gamma"])
+        return cls(**kwargs)
 
 
 def default_models() -> tuple[ModelSpec, ...]:
@@ -118,6 +126,23 @@ class ExperimentConfig:
             raise ValueError(f"model tags must be unique; duplicated: {dupes}")
         if not self.models:
             raise ValueError("experiment needs >= 1 model spec")
+        # checked by the configs they are forwarded to (dims, fusion, seed: placeholders)
+        self.model_config(audio_dim=1, text_dim=1, fusion="early", seed=0)
+        self.train_config(LossConfig(), seed=0)
+
+    def model_config(self, audio_dim: int, text_dim: int, fusion: str,
+                     seed: int) -> ModelConfig:
+        return ModelConfig(audio_dim=audio_dim, text_dim=text_dim, hidden=self.hidden,
+                           n_transformer_layers=self.n_transformer_layers,
+                           n_classes=self.n_classes, fusion=fusion, lmf_rank=self.lmf_rank,
+                           seed=seed)
+
+    def train_config(self, loss: LossConfig, seed: int) -> TrainConfig:
+        return TrainConfig(batch_size=self.batch_size, initial_lr=self.initial_lr,
+                           max_epochs=self.max_epochs,
+                           scheduler=SchedulerConfig(factor=self.scheduler_factor,
+                                                     patience=self.scheduler_patience),
+                           loss=loss, seed=seed)
 
     def spec_for(self, tag: str) -> ModelSpec:
         for m in self.models:
@@ -162,14 +187,23 @@ def _read_mapping(path, what: str) -> dict:
     return raw
 
 
+def _load(path, what: str, from_dict):
+    """Build a config from a YAML or JSON file; a bad value's error names the file."""
+    raw = _read_mapping(path, what)
+    try:
+        return from_dict(raw)
+    except (TypeError, ValueError, KeyError) as e:
+        raise ValueError(f"{path}: bad {what}: {e}") from e
+
+
 def load_experiment_config(path) -> ExperimentConfig:
     """Read a YAML or JSON experiment config file."""
-    return ExperimentConfig.from_dict(_read_mapping(path, "config"))
+    return _load(path, "config", ExperimentConfig.from_dict)
 
 
 def load_synthetic_spec(path) -> SyntheticSpec:
     """Read a YAML or JSON synthetic-spec file."""
-    return SyntheticSpec.from_dict(_read_mapping(path, "synthetic spec"))
+    return _load(path, "synthetic spec", SyntheticSpec.from_dict)
 
 
 def model_seed(base_seed: int, tag: str) -> int:
@@ -211,15 +245,10 @@ def run_model(cfg: ExperimentConfig, spec: ModelSpec, data_dir=None, out_dir=Non
     loss = LossConfig(kind=spec.loss_kind, gamma=spec.gamma, class_weights=weights)
 
     mseed = model_seed(base_seed, spec.tag)
-    model_cfg = ModelConfig(
-        audio_dim=train_set[0].audio.shape[1], text_dim=train_set[0].text.shape[1],
-        hidden=cfg.hidden, n_transformer_layers=cfg.n_transformer_layers,
-        n_classes=cfg.n_classes, fusion=spec.fusion, lmf_rank=cfg.lmf_rank, seed=mseed)
-    train_cfg = TrainConfig(
-        batch_size=cfg.batch_size, initial_lr=cfg.initial_lr, max_epochs=cfg.max_epochs,
-        scheduler=SchedulerConfig(factor=cfg.scheduler_factor,
-                                  patience=cfg.scheduler_patience),
-        loss=loss, seed=mseed)
+    model_cfg = cfg.model_config(audio_dim=train_set[0].audio.shape[1],
+                                 text_dim=train_set[0].text.shape[1], fusion=spec.fusion,
+                                 seed=mseed)
+    train_cfg = cfg.train_config(loss, seed=mseed)
 
     tag_dir = out_dir / spec.tag
     tag_dir.mkdir(parents=True, exist_ok=True)

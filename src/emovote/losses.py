@@ -9,7 +9,7 @@ the denominator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,45 +18,11 @@ from .autodiff import Tensor, clamp_min, gather_rows, log, mul, neg, pow_const, 
 PROB_EPS = 1e-7
 
 
-@dataclass(frozen=True)
-class ClassWeights:
-    """Per-class loss multipliers w_j plus the scheme that produced them."""
-
-    weights: tuple[float, ...]
-    scheme: str  # "uniform" | "prior"
-
-    def __post_init__(self):
-        if self.scheme not in ("uniform", "prior"):
-            raise ValueError(f"unknown weight scheme {self.scheme!r}")
-        if any(w <= 0 for w in self.weights):
-            raise ValueError("class weights must be positive")
-        if self.scheme == "uniform" and any(w != 1.0 for w in self.weights):
-            raise ValueError("uniform scheme requires all weights == 1")
-
-    @property
-    def n_classes(self) -> int:
-        return len(self.weights)
-
-    def as_array(self, dtype=np.float64) -> np.ndarray:
-        return np.asarray(self.weights, dtype=dtype)
-
-    def per_sample(self, labels, dtype=np.float32) -> np.ndarray:
-        """w_{y_i} for each label in the batch."""
-        return self.as_array(dtype)[np.asarray(labels, dtype=np.int64)]
-
-    def to_dict(self) -> dict:
-        return {"scheme": self.scheme, "weights": list(self.weights)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ClassWeights":
-        return cls(weights=tuple(d["weights"]), scheme=d["scheme"])
+def uniform_weights(n_classes: int) -> tuple[float, ...]:
+    return (1.0,) * n_classes
 
 
-def uniform_weights(n_classes: int) -> ClassWeights:
-    return ClassWeights(weights=(1.0,) * n_classes, scheme="uniform")
-
-
-def prior_weights(class_counts) -> ClassWeights:
+def prior_weights(class_counts) -> tuple[float, ...]:
     """w_j = N / N_j from per-class training counts; every count must be > 0."""
     counts = np.asarray(class_counts, dtype=np.int64)
     if counts.ndim != 1 or counts.size == 0:
@@ -65,31 +31,27 @@ def prior_weights(class_counts) -> ClassWeights:
         bad = np.flatnonzero(counts <= 0).tolist()
         raise ValueError(f"prior weights undefined: zero count for class index(es) {bad}")
     total = int(counts.sum())
-    return ClassWeights(weights=tuple(float(total / n) for n in counts), scheme="prior")
+    return tuple(float(total / n) for n in counts)
 
 
 @dataclass(frozen=True)
 class LossConfig:
-    """Loss kind plus its hyperparameters; gamma is ignored for kind == 'ce'."""
+    """Loss kind plus its hyperparameters; gamma is ignored for kind == 'ce'.
+
+    ``class_weights[j]`` multiplies the loss of every sample labelled j.
+    """
 
     kind: str = "ce"  # "ce" | "focal"
     gamma: float = 0.0
-    class_weights: ClassWeights = field(default_factory=lambda: uniform_weights(8))
+    class_weights: tuple[float, ...] = uniform_weights(8)
 
     def __post_init__(self):
         if self.kind not in ("ce", "focal"):
             raise ValueError(f"unknown loss kind {self.kind!r}")
         if self.gamma < 0:
             raise ValueError("gamma must be >= 0")
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "gamma": self.gamma,
-                "class_weights": self.class_weights.to_dict()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LossConfig":
-        return cls(kind=d.get("kind", "ce"), gamma=d.get("gamma", 0.0),
-                   class_weights=ClassWeights.from_dict(d["class_weights"]))
+        if any(w <= 0 for w in self.class_weights):
+            raise ValueError("class weights must be positive")
 
 
 def ce_loss(true_probs: Tensor, sample_weights) -> Tensor:
@@ -125,7 +87,7 @@ def compute_loss(probs: Tensor, labels, config: LossConfig) -> Tensor:
     if probs.ndim != 2 or labels.shape != (probs.shape[0],):
         raise ValueError(f"expected probs [B, C] and one label per row, got {probs.shape}, {labels.shape}")
     true_p = gather_rows(probs, labels)
-    w = config.class_weights.per_sample(labels, dtype=probs.dtype)
+    w = np.asarray(config.class_weights, dtype=probs.dtype)[labels]
     if config.kind == "focal":
         return focal_loss(true_p, config.gamma, w)
     return ce_loss(true_p, w)

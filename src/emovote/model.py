@@ -51,6 +51,12 @@ CHECKPOINT_VERSION = 1
 
 FUSION_KINDS = ("early", "late", "early_plus_late", "tensor", "low_rank_tensor")
 
+# Removed fields that older v1 checkpoint headers carry: (name, the only value
+# any checkpoint stored, why no other value can load)
+_LEGACY_FIELDS = (("n_heads", 1, "attention is single-head"),
+                  ("positional_encoding", False, "the encoders use no position table"),
+                  ("unimodal_branches", True, "early_plus_late always has unimodal heads"))
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -64,8 +70,6 @@ class ModelConfig:
     fusion: str = "early"
     lmf_rank: int = 4
     dropout: float = 0.0
-    positional_encoding: bool = False
-    unimodal_branches: bool = True  # early_plus_late only; off degenerates to early
     seed: int = 0
 
     def __post_init__(self):
@@ -90,9 +94,9 @@ class ModelConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
         d = dict(d)
-        # v1 checkpoint headers carry the single-head attention as "n_heads": 1
-        if d.pop("n_heads", 1) != 1:
-            raise ValueError("n_heads must be 1 (attention is single-head)")
+        for key, value, reason in _LEGACY_FIELDS:
+            if d.pop(key, value) != value:
+                raise ValueError(f"{key} must be {json.dumps(value)} ({reason})")
         known = {f.name for f in fields(cls)}
         unknown = set(d) - known
         if unknown:
@@ -184,15 +188,6 @@ class TransformerLayer:
         if drop > 0.0:
             ff = dropout(ff, drop, rng)
         return layer_norm(add(x, ff), self.ln2_gain, self.ln2_bias)
-
-
-def sinusoidal_positions(t: int, d: int) -> np.ndarray:
-    """Classic sin/cos position table, [t, d] float32."""
-    pos = np.arange(t, dtype=np.float64)[:, None]
-    idx = np.arange(d, dtype=np.float64)[None, :]
-    angles = pos / np.power(10000.0, 2.0 * np.floor(idx / 2.0) / d)
-    table = np.where(idx % 2 == 0, np.sin(angles), np.cos(angles))
-    return table.astype(np.float32)
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +315,7 @@ class Model:
                                         fan_in=h + 1)
             self.lmf_bias = store.param("lmf.bias", (h,), init="zeros")
             self.fused_head = ClassifierHead(store, "head", h, h, config.n_classes)
-        if kind == "late" or (kind == "early_plus_late" and config.unimodal_branches):
+        if kind in ("late", "early_plus_late"):
             self.audio_head = ClassifierHead(store, "audio_head", h, h, config.n_classes)
             self.text_head = ClassifierHead(store, "text_head", h, h, config.n_classes)
         self.parameters = store.params
@@ -335,8 +330,6 @@ class Model:
         enc = self.audio_enc if modality == "audio" else self.text_enc
         drop = self.config.dropout if train else 0.0
         hseq = mlp(Tensor(x))
-        if self.config.positional_encoding:
-            hseq = add(hseq, Tensor(sinusoidal_positions(x.shape[1], self.config.hidden)))
         for i, layer in enumerate(enc):
             attn_sink = [] if trace is not None else None
             hseq = layer(hseq, mask, drop=drop, rng=rng, attn_out=attn_sink)
@@ -367,11 +360,9 @@ class Model:
             return fuse_late(softmax(self.audio_head(h_a), axis=-1),
                              softmax(self.text_head(h_t), axis=-1))
         if kind == "early_plus_late":
-            branches = [softmax(self.fused_head(fuse_early(h_a, h_t)), axis=-1)]
-            if cfg.unimodal_branches:
-                branches.append(softmax(self.audio_head(h_a), axis=-1))
-                branches.append(softmax(self.text_head(h_t), axis=-1))
-            return _mean_probs(branches)
+            return _mean_probs([softmax(self.fused_head(fuse_early(h_a, h_t)), axis=-1),
+                                softmax(self.audio_head(h_a), axis=-1),
+                                softmax(self.text_head(h_t), axis=-1)])
         if kind == "tensor":
             z = fuse_tensor(h_a, h_t)
             proj = add(matmul(z, self.fuse_proj_w), self.fuse_proj_b)

@@ -62,23 +62,6 @@ class TrainConfig:
         if self.clip_norm <= 0:
             raise ValueError("clip_norm must be > 0")
 
-    def to_dict(self) -> dict:
-        return {"batch_size": self.batch_size, "initial_lr": self.initial_lr,
-                "max_epochs": self.max_epochs,
-                "scheduler": {"factor": self.scheduler.factor,
-                              "patience": self.scheduler.patience},
-                "loss": self.loss.to_dict(), "clip_norm": self.clip_norm,
-                "seed": self.seed}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        kwargs = dict(d)
-        if "scheduler" in kwargs:
-            kwargs["scheduler"] = SchedulerConfig(**kwargs["scheduler"])
-        if "loss" in kwargs:
-            kwargs["loss"] = LossConfig.from_dict(kwargs["loss"])
-        return cls(**kwargs)
-
 
 class PlateauScheduler:
     """Any improvement resets patience; a full patience window halves the lr."""

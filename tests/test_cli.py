@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from emovote import experiment, training
+from emovote import data, experiment, training
 from emovote.cli import main
 from emovote.data import load_manifest, load_utterances, read_features
 from emovote.ensemble import read_records, write_records
@@ -187,6 +187,34 @@ def test_train_single_tag_reproduces_the_run(tmp_path, cli_data_dir, config_file
     assert new["train_loss"] == old["train_loss"]
     assert new["dev_macro_f1"] == old["dev_macro_f1"]
     assert new["best_epoch"] == old["best_epoch"]
+
+
+@pytest.mark.parametrize("bad,reason", [({"hidden": "abc"}, "not supported"),
+                                        ({"batch_size": 0}, "batch_size must be >= 1"),
+                                        ({"scheduler_factor": 2.0}, "scheduler factor")])
+def test_train_bad_config_value_fails_at_load_naming_the_file(cli_data_dir, tmp_path,
+                                                              monkeypatch, capsys, bad, reason):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**CONFIG_JSON, **bad}))
+
+    def no_read(p):
+        raise AssertionError(f"feature file {p} opened before the config was checked")
+
+    monkeypatch.setattr(data, "read_features", no_read)
+    code = main(["train", "--config", str(path), "--all",
+                 "--data", str(cli_data_dir), "--out", str(tmp_path / "runs")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and reason in err
+
+
+def test_gen_data_bad_spec_value_fails_naming_the_file(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**SPEC_JSON, "separability": "high"}))
+    code = main(["gen-data", "--out", str(tmp_path / "d"), "--spec", str(path)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+    assert not (tmp_path / "d").exists()
 
 
 def test_train_unknown_tag_fails(cli_data_dir, config_file, tmp_path, capsys):
@@ -432,6 +460,19 @@ def test_model_spec_validation():
         ModelSpec("m", fusion="middle")
     with pytest.raises(ValueError, match="gamma"):
         ModelSpec("m", loss_kind="focal", gamma=-1.0)
+
+
+@pytest.mark.parametrize("entry,reason", [
+    ({"tag": "m", "loss": "focal", "gama": 2.5}, r"m: unknown model-spec keys \['gama'\]"),
+    ({"loss": "focal", "gamma": 2.5}, "needs a 'tag' key"),
+], ids=["misspelt_key", "no_tag"])
+def test_model_spec_from_dict_refuses_unknown_and_missing_keys(tmp_path, capsys, entry, reason):
+    with pytest.raises(ValueError, match=reason):
+        ModelSpec.from_dict(entry)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"models": [entry]}))
+    assert main(["train", "--config", str(path), "--all"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
 
 def test_experiment_config_validation_and_lookup():

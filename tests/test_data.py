@@ -185,6 +185,20 @@ def test_manifest_missing_feature_file(rng, tmp_path):
         load_manifest(manifest)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_load_utterances_rejects_non_finite_features_naming_the_file(tiny_spec, tmp_path,
+                                                                    value):
+    generate_synthetic(tiny_spec, n_train=16, n_dev=8, out_dir=tmp_path)
+    entries = load_manifest(tmp_path / "train.tsv")
+    bad = entries[3].audio_path
+    frames = read_features(bad)
+    frames[1, 2] = value
+    write_features(bad, frames)
+    with pytest.raises(ValueError, match="non-finite feature value at frame 1, dim 2") as err:
+        load_utterances(entries)
+    assert str(bad) in str(err.value)
+
+
 def test_manifest_missing_file_itself(tmp_path):
     with pytest.raises(FileNotFoundError, match="nope.tsv"):
         load_manifest(tmp_path / "nope.tsv")

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emovote.autodiff import Tensor, grad_check, softmax
-from emovote.losses import (PROB_EPS, ClassWeights, LossConfig, ce_loss,
+from emovote.losses import (PROB_EPS, LossConfig, ce_loss,
                             compute_loss, focal_loss, prior_weights,
                             uniform_weights)
 
@@ -24,28 +24,23 @@ def scalar_loss(fn, p, *args):
 # ---------------------------------------------------------------------------
 
 def test_uniform_weights_are_all_one():
-    w = uniform_weights(8)
-    assert w.scheme == "uniform"
-    assert w.weights == (1.0,) * 8
-    np.testing.assert_array_equal(w.per_sample([0, 7, 3]), [1.0, 1.0, 1.0])
+    assert uniform_weights(8) == (1.0,) * 8
 
 
 def test_prior_weights_balanced_counts():
-    assert prior_weights([10, 10]).weights == (2.0, 2.0)
+    assert prior_weights([10, 10]) == (2.0, 2.0)
 
 
 def test_prior_weights_formula_fixture():
-    w = prior_weights([30, 10])
-    np.testing.assert_allclose(w.weights, [4.0 / 3.0, 4.0], rtol=1e-12)
-    assert w.scheme == "prior"
+    np.testing.assert_allclose(prior_weights([30, 10]), [4.0 / 3.0, 4.0], rtol=1e-12)
 
 
 def test_prior_weights_on_corpus_counts():
     w = prior_weights(CORPUS_TRAIN_COUNTS)
     assert sum(CORPUS_TRAIN_COUNTS) == 53296
-    assert abs(w.weights[0] - 2.1305) < 5e-4   # most frequent class
-    assert abs(w.weights[-1] - 46.79) < 5e-2   # rarest class
-    assert w.weights[-1] == max(w.weights)
+    assert abs(w[0] - 2.1305) < 5e-4   # most frequent class
+    assert abs(w[-1] - 46.79) < 5e-2   # rarest class
+    assert w[-1] == max(w)
 
 
 def test_prior_weights_reject_zero_count():
@@ -54,23 +49,17 @@ def test_prior_weights_reject_zero_count():
 
 
 def test_per_sample_maps_labels_to_weights():
-    w = ClassWeights(weights=(1.0, 2.0, 4.0), scheme="prior")
-    np.testing.assert_array_equal(w.per_sample([2, 0, 1, 2]), [4.0, 1.0, 2.0, 4.0])
-
-
-def test_uniform_scheme_rejects_non_unit_weights():
-    with pytest.raises(ValueError):
-        ClassWeights(weights=(1.0, 2.0), scheme="uniform")
+    # uniform probabilities over 3 classes: every sample's CE is ln 3 times w_label
+    probs = Tensor(np.full((4, 3), 1.0 / 3.0))
+    cfg = LossConfig(class_weights=(1.0, 2.0, 4.0))
+    got = compute_loss(probs, [2, 0, 1, 2], cfg).item()
+    assert abs(got - (4.0 + 1.0 + 2.0 + 4.0) / 4 * math.log(3)) < 1e-12
 
 
 def test_weights_must_be_positive():
-    with pytest.raises(ValueError):
-        ClassWeights(weights=(1.0, -1.0), scheme="prior")
-
-
-def test_class_weights_dict_round_trip():
-    w = prior_weights([3, 9])
-    assert ClassWeights.from_dict(w.to_dict()) == w
+    for bad in ((1.0, -1.0), (0.0, 1.0)):
+        with pytest.raises(ValueError, match="positive"):
+            LossConfig(class_weights=bad)
 
 
 # ---------------------------------------------------------------------------
@@ -118,13 +107,11 @@ def test_empty_batch_rejected():
         focal_loss(empty, 2.0, np.zeros(0))
 
 
-def test_loss_config_validation_and_round_trip():
+def test_loss_config_validation():
     with pytest.raises(ValueError):
         LossConfig(kind="hinge")
     with pytest.raises(ValueError):
         LossConfig(kind="focal", gamma=-1.0)
-    cfg = LossConfig(kind="focal", gamma=2.5, class_weights=prior_weights([4, 12]))
-    assert LossConfig.from_dict(cfg.to_dict()) == cfg
 
 
 # ---------------------------------------------------------------------------

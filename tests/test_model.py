@@ -9,8 +9,7 @@ import pytest
 from emovote.autodiff import ShapeError, Tensor, grad_check, tsum
 from emovote.model import (FUSION_KINDS, Model, ModelConfig, ParamStore,
                            fuse_early, fuse_late, fuse_low_rank, fuse_tensor,
-                           load_checkpoint, save_checkpoint,
-                           sinusoidal_positions)
+                           load_checkpoint, save_checkpoint)
 from helpers import leaf, make_batch, repad_batch, take_rows
 
 
@@ -292,16 +291,6 @@ def test_forward_batch_order_invariance(rng):
     np.testing.assert_array_equal(shuffled, probs[order])
 
 
-def test_early_plus_late_without_unimodal_branches_degenerates_to_early(rng):
-    early = Model(small_config(fusion="early", seed=3))
-    degen = Model(small_config(fusion="early_plus_late",
-                               unimodal_branches=False, seed=3))
-    assert sorted(early.parameters) == sorted(degen.parameters)
-    batch = make_batch(rng, 4, 10, 8)
-    np.testing.assert_array_equal(early.predict_probs(batch),
-                                  degen.predict_probs(batch))
-
-
 def test_early_plus_late_with_branches_averages_three_heads(rng):
     model = Model(small_config(fusion="early_plus_late", seed=3))
     batch = make_batch(rng, 3, 10, 8)
@@ -350,24 +339,6 @@ def test_forward_supports_other_class_counts(rng):
     model = Model(small_config(n_classes=3))
     probs = model.predict_probs(make_batch(rng, 2, 10, 8, n_classes=3))
     assert probs.shape == (2, 3)
-
-
-def test_positional_encoding_changes_the_output(rng):
-    batch = make_batch(rng, 3, 10, 8, audio_lens=[4, 4, 4], text_lens=[3, 3, 3])
-    base = Model(small_config(seed=5)).predict_probs(batch)
-    with_pos = Model(small_config(seed=5, positional_encoding=True)).predict_probs(batch)
-    assert not np.array_equal(base, with_pos)
-
-
-def test_sinusoidal_positions_fixture():
-    table = sinusoidal_positions(4, 6)
-    assert table.shape == (4, 6) and table.dtype == np.float32
-    np.testing.assert_allclose(table[0], [0, 1, 0, 1, 0, 1], atol=1e-7)
-    np.testing.assert_allclose(table[1, 0], np.sin(1.0), atol=1e-6)
-    np.testing.assert_allclose(table[1, 1], np.cos(1.0), atol=1e-6)
-    np.testing.assert_allclose(table[2, 2], np.sin(2.0 / 10000.0 ** (2.0 / 6)), atol=1e-6)
-    assert np.abs(table).max() <= 1.0
-    assert sinusoidal_positions(3, 5).shape == (3, 5)  # odd dims work too
 
 
 def test_dropout_needs_rng_and_perturbs_training_forward(rng):
@@ -489,8 +460,10 @@ def test_v1_checkpoint_with_single_head_key_loads_bitwise(rng, tmp_path):
         t.data = t.data + rng.standard_normal(t.shape).astype(np.float32) * 0.01
     path = tmp_path / "old.ckpt"
     save_checkpoint(path, model)
-    _rewrite_config_header(path, n_heads=1)
-    assert b'"n_heads": 1' in path.read_bytes()
+    # the removed fields, at the only values any checkpoint stored
+    _rewrite_config_header(path, n_heads=1, positional_encoding=False, unimodal_branches=True)
+    for key in (b'"n_heads": 1', b'"positional_encoding": false', b'"unimodal_branches": true'):
+        assert key in path.read_bytes()
     back = load_checkpoint(path)
     assert back.config == model.config
     for name in model.parameters:
@@ -501,7 +474,11 @@ def test_v1_checkpoint_with_single_head_key_loads_bitwise(rng, tmp_path):
 
 
 @pytest.mark.parametrize("bad,reason", [({"n_heads": 2}, "n_heads must be 1"),
-                                        ({"audio_dim": None}, "not supported")])
+                                        ({"audio_dim": None}, "not supported"),
+                                        ({"positional_encoding": True},
+                                         "positional_encoding must be false"),
+                                        ({"unimodal_branches": False},
+                                         "unimodal_branches must be true")])
 def test_checkpoint_with_bad_config_is_refused_naming_the_file(tmp_path, bad, reason):
     path = _saved_checkpoint(tmp_path)
     _rewrite_config_header(path, **bad)

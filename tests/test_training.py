@@ -54,14 +54,6 @@ def test_train_config_validation():
         tiny_train_config(clip_norm=0.0)
 
 
-def test_train_config_dict_round_trip():
-    from emovote.losses import prior_weights
-    cfg = tiny_train_config(scheduler=SchedulerConfig(factor=0.25, patience=2),
-                            loss=LossConfig(kind="focal", gamma=2.0,
-                                            class_weights=prior_weights([3, 1])))
-    assert TrainConfig.from_dict(cfg.to_dict()) == cfg
-
-
 # ---------------------------------------------------------------------------
 # plateau scheduler rule
 # ---------------------------------------------------------------------------

@@ -293,6 +293,12 @@ def clamp_min(a: Tensor, lo: float) -> Tensor:
 # matmul / shape ops
 # ---------------------------------------------------------------------------
 
+# Weights of at least this many elements get their gradient summed one sequence at
+# a time: there the batched product's [N, d, k] temporary costs more than the Python
+# loop (at T=40: 128x256 and up gain, 32x64 loses 3.5x). Both give the same bits.
+_SEQUENCE_SUM_MIN = 1 << 15
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul requires >=2D operands, got {a.shape} @ {b.shape}")
@@ -302,9 +308,19 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         ga = np.matmul(g, b.data.swapaxes(-1, -2))
-        gb = np.matmul(a.data.swapaxes(-1, -2), g)
         _accum(a, _unbroadcast(ga, a.shape))
-        _accum(b, _unbroadcast(gb, b.shape))
+        if b.ndim > 2 or b.size < _SEQUENCE_SUM_MIN:
+            gb = _unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g), b.shape)
+        else:
+            # add a[i].T @ g[i] per sequence in index order: the batched product's own
+            # sum over the leading axes, so the same bits, without its [N, d, k]
+            # temporary (one flattened a2.T @ g2 would reorder the sum)
+            t = a.shape[-2]
+            a3, g3 = a.data.reshape(-1, t, b.shape[0]), g.reshape(-1, t, b.shape[1])
+            gb = a3[0].T @ g3[0]
+            for i in range(1, len(a3)):
+                gb += a3[i].T @ g3[i]
+        _accum(b, gb)
 
     return Tensor.from_op(out_data, (a, b), backward, "matmul")
 

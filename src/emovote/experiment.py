@@ -177,11 +177,12 @@ def _read_mapping(path, what: str) -> dict:
     if not path.exists():
         raise FileNotFoundError(f"{what} file not found: {path}")
     text = path.read_text()
-    if path.suffix == ".json":
-        raw = json.loads(text)
-    else:
-        import yaml
-        raw = yaml.safe_load(text)
+    import yaml
+    try:
+        raw = json.loads(text) if path.suffix == ".json" else yaml.safe_load(text)
+    except (json.JSONDecodeError, yaml.YAMLError) as e:
+        kind = "JSON" if path.suffix == ".json" else "YAML"
+        raise ValueError(f"{path}: not valid {kind}: {e}") from e
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: {what} root must be a mapping")
     return raw

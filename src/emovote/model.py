@@ -58,6 +58,14 @@ _LEGACY_FIELDS = (("n_heads", 1, "attention is single-head"),
                   ("unimodal_branches", True, "early_plus_late always has unimodal heads"))
 
 
+def check_counts(cfg, *names):
+    """Refuse a non-integer (or bool) count that the range checks let through."""
+    for name in names:
+        value = getattr(cfg, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Architecture hyperparameters; everything the checkpoint must replay."""
@@ -87,6 +95,8 @@ class ModelConfig:
             raise ValueError("lmf_rank must be >= 1")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
+        check_counts(self, "audio_dim", "text_dim", "hidden", "n_transformer_layers",
+                     "n_classes", "lmf_rank")
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}

@@ -23,7 +23,7 @@ from .data import Utterance, _atomic_write_bytes, make_batches
 from .ensemble import PredictionRecord
 from .losses import LossConfig, compute_loss
 from .metrics import MetricBundle, bundle_from_labels
-from .model import Model, save_checkpoint
+from .model import Model, check_counts, save_checkpoint
 
 
 @dataclass(frozen=True)
@@ -39,6 +39,7 @@ class SchedulerConfig:
             raise ValueError("scheduler factor must be in (0, 1)")
         if self.patience < 1:
             raise ValueError("scheduler patience must be >= 1")
+        check_counts(self, "patience")
 
 
 @dataclass(frozen=True)
@@ -61,6 +62,7 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.clip_norm <= 0:
             raise ValueError("clip_norm must be > 0")
+        check_counts(self, "batch_size", "max_epochs")
 
 
 class PlateauScheduler:
@@ -221,6 +223,7 @@ def train(model: Model, train_set: list[Utterance], dev_set: list[Utterance],
             opt.step()
             total_loss += loss_val * batch.size
             total_n += batch.size
+        del probs, loss  # the last step's graph must not live through the dev pass
         epoch_loss = total_loss / total_n
         records, bundle = evaluate(model, dev_set, cfg.batch_size, model_tag=model_tag)
         report.train_loss.append(epoch_loss)

@@ -8,7 +8,8 @@ from emovote.autodiff import (EmptySequenceError, NumericsError, ShapeError,
                               gather_rows, grad_check, layer_norm, log,
                               masked_mean_pool, matmul, mul, neg, pow_const,
                               relu, reshape, softmax, sub,
-                              tmean, transpose_last, tsum)
+                              tmean, transpose_last, tsum, _SEQUENCE_SUM_MIN,
+                              _unbroadcast)
 from helpers import leaf
 
 N_SEEDS = 10
@@ -125,6 +126,42 @@ def test_matmul_gradient_2d():
 def test_matmul_gradient_batched():
     check_op(lambda ls: tsum(matmul(ls[0], ls[1])), shapes=((2, 3, 4), (4, 5)))
     check_op(lambda ls: tsum(matmul(ls[0], ls[1])), shapes=((2, 3, 4), (2, 4, 5)))
+
+
+def test_matmul_gradient_4d_input_2d_weight():
+    def build(ls):
+        out = matmul(ls[0], ls[1])
+        return tsum(mul(out, out))
+
+    check_op(build, shapes=((2, 3, 4, 5), (5, 2)))
+    # a weight large enough for the per-sequence gradient sum
+    rng = np.random.default_rng(3)
+    ls = [leaf(rng.uniform(-1, 1, (2, 2, 3, 256))), leaf(rng.uniform(-1, 1, (256, 128)))]
+    assert ls[1].size >= _SEQUENCE_SUM_MIN
+    assert grad_check(lambda: build(ls), ls, max_coords_per_param=60, rng=rng) < OP_TOL
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("a_shape,k", [((6, 5), 3), ((4, 7, 16), 12), ((12, 17, 16), 32),
+                                       ((6, 256), 128), ((4, 7, 200), 200),
+                                       ((3, 2, 5, 256), 128), ((8, 40, 512), 512)])
+def test_matmul_weight_product_matches_the_batched_formulas_bitwise(dtype, a_shape, k):
+    """[..., T, d] @ [d, k], with the weight below and above the per-sequence-sum size:
+    output and gradients carry the batched formulas' exact bits, also for an upstream
+    gradient laid out transposed (as the attention keys' is)."""
+    rng = np.random.default_rng(7)
+    a_np = rng.standard_normal(a_shape).astype(dtype)
+    b_np = rng.standard_normal((a_shape[-1], k)).astype(dtype)
+    g_c = rng.standard_normal(a_shape[:-1] + (k,)).astype(dtype)
+    g_t = np.ascontiguousarray(g_c.swapaxes(-1, -2)).swapaxes(-1, -2)
+    for g in (g_c, g_t):
+        a, b = Tensor(a_np, requires_grad=True), Tensor(b_np, requires_grad=True)
+        out = matmul(a, b)
+        out._backward_fn(g)
+        assert np.array_equal(out.data, np.matmul(a_np, b_np))
+        assert np.array_equal(a.grad, _unbroadcast(np.matmul(g, b_np.swapaxes(-1, -2)), a_shape))
+        assert np.array_equal(b.grad, _unbroadcast(np.matmul(a_np.swapaxes(-1, -2), g),
+                                                   b_np.shape))
 
 
 def test_matmul_shape_error_names_both_shapes():

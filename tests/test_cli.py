@@ -191,7 +191,10 @@ def test_train_single_tag_reproduces_the_run(tmp_path, cli_data_dir, config_file
 
 @pytest.mark.parametrize("bad,reason", [({"hidden": "abc"}, "not supported"),
                                         ({"batch_size": 0}, "batch_size must be >= 1"),
-                                        ({"scheduler_factor": 2.0}, "scheduler factor")])
+                                        ({"scheduler_factor": 2.0}, "scheduler factor"),
+                                        ({"hidden": 8.5}, "hidden must be an integer"),
+                                        ({"max_epochs": 1.5},
+                                         "max_epochs must be an integer")])
 def test_train_bad_config_value_fails_at_load_naming_the_file(cli_data_dir, tmp_path,
                                                               monkeypatch, capsys, bad, reason):
     path = tmp_path / "bad.json"
@@ -206,6 +209,20 @@ def test_train_bad_config_value_fails_at_load_naming_the_file(cli_data_dir, tmp_
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: ") and reason in err
+
+
+@pytest.mark.parametrize("name,text,kind", [("bad.yaml", "hidden: [1,\n", "YAML"),
+                                             ("bad.json", '{"hidden": 8,,}', "JSON")],
+                         ids=["yaml", "json"])
+def test_config_syntax_error_fails_naming_the_file(tmp_path, capsys, name, text, kind):
+    path = tmp_path / name
+    path.write_text(text)
+    code = main(["train", "--config", str(path), "--all", "--out", str(tmp_path / "runs")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: not valid {kind}: ")
+    code = main(["gen-data", "--out", str(tmp_path / "d"), "--spec", str(path)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: not valid {kind}: ")
 
 
 def test_gen_data_bad_spec_value_fails_naming_the_file(tmp_path, capsys):

@@ -1,7 +1,9 @@
 """Optimizer, scheduler, and the training loop: rules, determinism, descent."""
 
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -52,6 +54,12 @@ def test_train_config_validation():
         tiny_train_config(batch_size=0)
     with pytest.raises(ValueError, match="clip_norm"):
         tiny_train_config(clip_norm=0.0)
+    with pytest.raises(TypeError, match="max_epochs must be an integer"):
+        tiny_train_config(max_epochs=1.5)
+    with pytest.raises(TypeError, match="batch_size must be an integer"):
+        tiny_train_config(batch_size=True)
+    with pytest.raises(TypeError, match="patience must be an integer"):
+        SchedulerConfig(patience=2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +254,32 @@ def test_log_keeps_the_epochs_before_an_abort(tiny_corpus, tmp_path, monkeypatch
               log_path=log)
     assert log.read_text() == first_line
     assert json.loads(first_line)["epoch"] == 0
+
+
+def test_a_steps_graph_is_freed_before_the_dev_eval(tiny_corpus, tmp_path, monkeypatch):
+    train_set, dev_set = tiny_corpus
+    forward = Model.forward
+    last_probs = []
+
+    def forward_keeping_a_weakref(self, batch, train=False, rng=None, trace=None):
+        probs = forward(self, batch, train=train, rng=rng, trace=trace)
+        if train:
+            # Tensor has __slots__ and takes no weakref; its array dies with it
+            last_probs[:] = [weakref.ref(probs.data)]
+        return probs
+
+    alive_at_eval = []
+
+    def evaluate_after_gc(*args, **kwargs):
+        gc.collect()
+        alive_at_eval.append(last_probs[0]() is not None)
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(Model, "forward", forward_keeping_a_weakref)
+    monkeypatch.setattr(training, "evaluate", evaluate_after_gc)
+    train(Model(tiny_model_config()), train_set, dev_set, tiny_train_config(max_epochs=2),
+          tmp_path / "c.ckpt")
+    assert alive_at_eval == [False, False]
 
 
 def test_report_save_failure_keeps_previous_report(tmp_path, monkeypatch):

@@ -298,17 +298,33 @@ def clamp_min(a: Tensor, lo: float) -> Tensor:
 # loop (at T=40: 128x256 and up gain, 32x64 loses 3.5x). Both give the same bits.
 _SEQUENCE_SUM_MIN = 1 << 15
 
+# [..., T, d] @ [d, k] with T*d*k above this runs its forward and input gradient as one
+# 2-D GEMM over all rows instead of numpy's one GEMM per sequence. OpenBLAS may pick
+# small-matrix kernels at M*N*K <= 1e6, where the flat product can differ from the
+# per-slice one in the last bit; above it the two were bit-equal on the OpenBLAS 0.3.31
+# build tested, and test_matmul_weight_product_matches_the_batched_formulas_bitwise
+# checks that on each host. The weight gradient keeps the per-sequence sum above.
+_FLAT_GEMM_MIN = 10 ** 6
+
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul requires >=2D operands, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
-    out_data = np.matmul(a.data, b.data)
+    d, k = b.shape[-2:]
+    flat = b.ndim == 2 and a.ndim > 2 and a.shape[-2] * d * k > _FLAT_GEMM_MIN
+    if flat:
+        out_data = (a.data.reshape(-1, d) @ b.data).reshape(a.shape[:-1] + (k,))
+    else:
+        out_data = np.matmul(a.data, b.data)
 
     def backward(g):
-        ga = np.matmul(g, b.data.swapaxes(-1, -2))
-        _accum(a, _unbroadcast(ga, a.shape))
+        if flat:
+            ga = (g.reshape(-1, k) @ b.data.T).reshape(a.shape)
+        else:
+            ga = _unbroadcast(np.matmul(g, b.data.swapaxes(-1, -2)), a.shape)
+        _accum(a, ga)
         if b.ndim > 2 or b.size < _SEQUENCE_SUM_MIN:
             gb = _unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g), b.shape)
         else:
@@ -316,7 +332,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             # sum over the leading axes, so the same bits, without its [N, d, k]
             # temporary (one flattened a2.T @ g2 would reorder the sum)
             t = a.shape[-2]
-            a3, g3 = a.data.reshape(-1, t, b.shape[0]), g.reshape(-1, t, b.shape[1])
+            a3, g3 = a.data.reshape(-1, t, d), g.reshape(-1, t, k)
             gb = a3[0].T @ g3[0]
             for i in range(1, len(a3)):
                 gb += a3[i].T @ g3[i]

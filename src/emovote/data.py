@@ -46,6 +46,14 @@ def _proportions(counts) -> tuple[float, ...]:
     return tuple((arr / arr.sum()).tolist())
 
 
+def check_counts(cfg, *names):
+    """Refuse a non-integer (or bool) count that the range checks let through."""
+    for name in names:
+        value = getattr(cfg, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
 def _child_rng(seed: int, *keys) -> np.random.Generator:
     """Deterministic sub-stream RNG; string keys hash via crc32."""
     ints = [int(seed)]
@@ -329,6 +337,10 @@ class SyntheticSpec:
             raise ValueError("need 1 <= min_len <= max_len")
         if self.audio_dim < 1 or self.text_dim < 1:
             raise ValueError("feature dims must be >= 1")
+        if self.seed < 0 or self.audio_variant < 0:
+            raise ValueError("seed and audio_variant must be >= 0")
+        check_counts(self, "seed", "audio_dim", "text_dim", "min_len", "max_len",
+                     "audio_variant")
 
     @classmethod
     def from_dict(cls, d: dict) -> "SyntheticSpec":

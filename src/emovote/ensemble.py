@@ -194,15 +194,26 @@ def write_records(path, records: list[PredictionRecord]):
 
 def read_records(path) -> list[PredictionRecord]:
     records = []
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         if not line.strip():
             continue
         try:
             d = json.loads(line)
-            records.append(PredictionRecord(utt_id=d["id"], model_tag=d["model"],
-                                            probs=tuple(d["probs"]), predicted=d["pred"]))
-        except (json.JSONDecodeError, KeyError, ValueError) as e:
+            if not isinstance(d, dict):
+                raise ValueError(f"not a JSON object: {line.strip()[:60]}")
+            if not isinstance(d["probs"], list):
+                raise ValueError(f"probs must be a list, got {d['probs']!r}")
+            record = PredictionRecord(utt_id=d["id"], model_tag=d["model"],
+                                      probs=tuple(d["probs"]), predicted=d["pred"])
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
             raise ValueError(f"{path}:{lineno}: bad prediction record: {e}") from e
+        if record.utt_id in first_line:
+            # a vote would emit the utterance twice, both times with the last record
+            raise ValueError(f"{path}:{lineno}: repeated id {record.utt_id!r} "
+                             f"(first on line {first_line[record.utt_id]})")
+        first_line[record.utt_id] = lineno
+        records.append(record)
     if not records:
         raise ValueError(f"{path}: no prediction records")
     return records

@@ -25,6 +25,7 @@ from pathlib import Path
 
 from .data import (
     SyntheticSpec,
+    check_counts,
     count_labels,
     load_manifest,
     load_utterances,
@@ -129,6 +130,7 @@ class ExperimentConfig:
         # checked by the configs they are forwarded to (dims, fusion, seed: placeholders)
         self.model_config(audio_dim=1, text_dim=1, fusion="early", seed=0)
         self.train_config(LossConfig(), seed=0)
+        check_counts(self, "seed")
 
     def model_config(self, audio_dim: int, text_dim: int, fusion: str,
                      seed: int) -> ModelConfig:

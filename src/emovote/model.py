@@ -44,7 +44,7 @@ from .autodiff import (
     transpose_last,
     tsum,
 )
-from .data import Batch, _atomic_write_bytes
+from .data import Batch, _atomic_write_bytes, check_counts
 
 MAGIC = b"IMBF"
 CHECKPOINT_VERSION = 1
@@ -56,14 +56,6 @@ FUSION_KINDS = ("early", "late", "early_plus_late", "tensor", "low_rank_tensor")
 _LEGACY_FIELDS = (("n_heads", 1, "attention is single-head"),
                   ("positional_encoding", False, "the encoders use no position table"),
                   ("unimodal_branches", True, "early_plus_late always has unimodal heads"))
-
-
-def check_counts(cfg, *names):
-    """Refuse a non-integer (or bool) count that the range checks let through."""
-    for name in names:
-        value = getattr(cfg, name)
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -96,7 +88,7 @@ class ModelConfig:
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
         check_counts(self, "audio_dim", "text_dim", "hidden", "n_transformer_layers",
-                     "n_classes", "lmf_rank")
+                     "n_classes", "lmf_rank", "seed")
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}

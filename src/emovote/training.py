@@ -2,9 +2,10 @@
 best-dev-Macro-F1 checkpoint selection.
 
 Everything is deterministic given the seed: epoch shuffles, dropout draws,
-and optimizer state all derive from it, and kernels run single-threaded, so
-two runs with the same seed produce bit-identical loss traces and
-checkpoints.
+and optimizer state all derive from it, so two runs with the same seed on the
+same BLAS build and BLAS thread count produce bit-identical loss traces and
+checkpoints. Another thread count may split the GEMMs differently and change
+the bits (a hidden-160 tensor-fusion member does).
 """
 
 from __future__ import annotations
@@ -19,11 +20,11 @@ import numpy as np
 
 from . import kernels
 from .autodiff import NumericsError
-from .data import Utterance, _atomic_write_bytes, make_batches
+from .data import Utterance, _atomic_write_bytes, check_counts, make_batches
 from .ensemble import PredictionRecord
 from .losses import LossConfig, compute_loss
 from .metrics import MetricBundle, bundle_from_labels
-from .model import Model, check_counts, save_checkpoint
+from .model import Model, save_checkpoint
 
 
 @dataclass(frozen=True)
@@ -62,7 +63,7 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.clip_norm <= 0:
             raise ValueError("clip_norm must be > 0")
-        check_counts(self, "batch_size", "max_epochs")
+        check_counts(self, "batch_size", "max_epochs", "seed")
 
 
 class PlateauScheduler:

@@ -8,8 +8,8 @@ from emovote.autodiff import (EmptySequenceError, NumericsError, ShapeError,
                               gather_rows, grad_check, layer_norm, log,
                               masked_mean_pool, matmul, mul, neg, pow_const,
                               relu, reshape, softmax, sub,
-                              tmean, transpose_last, tsum, _SEQUENCE_SUM_MIN,
-                              _unbroadcast)
+                              tmean, transpose_last, tsum, _FLAT_GEMM_MIN,
+                              _SEQUENCE_SUM_MIN, _unbroadcast)
 from helpers import leaf
 
 N_SEEDS = 10
@@ -142,13 +142,20 @@ def test_matmul_gradient_4d_input_2d_weight():
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("a_shape,k", [((6, 5), 3), ((4, 7, 16), 12), ((12, 17, 16), 32),
-                                       ((6, 256), 128), ((4, 7, 200), 200),
-                                       ((3, 2, 5, 256), 128), ((8, 40, 512), 512)])
-def test_matmul_weight_product_matches_the_batched_formulas_bitwise(dtype, a_shape, k):
-    """[..., T, d] @ [d, k], with the weight below and above the per-sequence-sum size:
-    output and gradients carry the batched formulas' exact bits, also for an upstream
-    gradient laid out transposed (as the attention keys' is)."""
+@pytest.mark.parametrize("a_shape,k,path", [
+    ((6, 5), 3, "batched"), ((4, 7, 16), 12, "batched"), ((12, 17, 16), 32, "batched"),
+    ((6, 256), 128, "batched"), ((4, 7, 200), 200, "batched"),
+    ((3, 2, 5, 256), 128, "batched"), ((32, 40, 24), 512, "batched"),
+    ((8, 40, 512), 512, "flat"), ((32, 40, 512), 1024, "flat"), ((12, 37, 1024), 512, "flat"),
+    ((64, 39, 128), 256, "flat")])
+def test_matmul_weight_product_matches_the_batched_formulas_bitwise(dtype, a_shape, k, path):
+    """[..., T, d] @ [d, k], with the weight below and above the per-sequence-sum size
+    and the product below and above the flat-GEMM size: output and gradients carry the
+    batched formulas' exact bits, also for an upstream gradient laid out transposed (as
+    the attention keys' is). Each case pins the path it takes, so that moving
+    _FLAT_GEMM_MIN cannot quietly drop the flat cases."""
+    flat = len(a_shape) > 2 and a_shape[-2] * a_shape[-1] * k > _FLAT_GEMM_MIN
+    assert path == ("flat" if flat else "batched")
     rng = np.random.default_rng(7)
     a_np = rng.standard_normal(a_shape).astype(dtype)
     b_np = rng.standard_normal((a_shape[-1], k)).astype(dtype)

@@ -5,9 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from emovote import data, experiment, training
+from emovote import autodiff, data, experiment, training
 from emovote.cli import main
-from emovote.data import load_manifest, load_utterances, read_features
+from emovote.data import (SyntheticSpec, generate_synthetic, load_manifest, load_utterances,
+                          read_features)
 from emovote.ensemble import read_records, write_records
 from emovote.experiment import (AUDIO_SOURCES, ExperimentConfig, ModelSpec,
                                 default_models, load_experiment_config,
@@ -194,7 +195,9 @@ def test_train_single_tag_reproduces_the_run(tmp_path, cli_data_dir, config_file
                                         ({"scheduler_factor": 2.0}, "scheduler factor"),
                                         ({"hidden": 8.5}, "hidden must be an integer"),
                                         ({"max_epochs": 1.5},
-                                         "max_epochs must be an integer")])
+                                         "max_epochs must be an integer"),
+                                        ({"seed": 1.5}, "seed must be an integer"),
+                                        ({"seed": True}, "seed must be an integer")])
 def test_train_bad_config_value_fails_at_load_naming_the_file(cli_data_dir, tmp_path,
                                                               monkeypatch, capsys, bad, reason):
     path = tmp_path / "bad.json"
@@ -231,6 +234,22 @@ def test_gen_data_bad_spec_value_fails_naming_the_file(tmp_path, capsys):
     code = main(["gen-data", "--out", str(tmp_path / "d"), "--spec", str(path)])
     assert code == 1
     assert capsys.readouterr().err.startswith(f"error: {path}: ")
+    assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("bad,reason", [({"seed": 1.5}, "seed must be an integer"),
+                                        ({"max_len": 20.5}, "max_len must be an integer"),
+                                        ({"audio_variant": True},
+                                         "audio_variant must be an integer"),
+                                        ({"seed": -1}, "seed and audio_variant must be >= 0")],
+                         ids=["seed", "max_len", "audio_variant", "negative_seed"])
+def test_gen_data_bad_spec_count_fails_naming_the_file(tmp_path, capsys, bad, reason):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**SPEC_JSON, **bad}))
+    code = main(["gen-data", "--out", str(tmp_path / "d"), "--spec", str(path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and reason in err
     assert not (tmp_path / "d").exists()
 
 
@@ -360,6 +379,21 @@ def test_ensemble_mismatched_ids_fail(trained_runs, cli_data_dir, tmp_path, caps
     assert "symmetric difference" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra,reason", [(None, "repeated id"), ("[1, 2]", "not a JSON object")],
+                         ids=["repeated_id", "not_an_object"])
+def test_ensemble_bad_record_line_fails_naming_the_line(trained_runs, cli_data_dir, tmp_path,
+                                                        capsys, extra, reason):
+    lines = (trained_runs / "model1" / "predictions.jsonl").read_text().splitlines()
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines + [extra or lines[0]]) + "\n")
+    code = main(["ensemble", str(bad), "--labels", str(cli_data_dir / "whisper" / "dev.tsv"),
+                 "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}:{len(lines) + 1}: ") and reason in err
+    assert not (tmp_path / "ensemble").exists()
+
+
 # ---------------------------------------------------------------------------
 # text-metrics
 # ---------------------------------------------------------------------------
@@ -446,6 +480,25 @@ def test_run_model_writes_the_best_epochs_train_time_predictions(cli_data_dir, t
     assert (result.predictions_path.read_bytes()
             == (tmp_path / "reloaded.jsonl").read_bytes())
     assert bundle.macro_f1 == result.dev_macro_f1
+
+
+def test_flat_gemm_path_leaves_a_members_files_byte_identical(tmp_path, monkeypatch):
+    """At hidden 160 and T >= 40 the attention, input-MLP fc2 and FFN products take
+    the flat 2-D GEMM path; with the gate raised above every product they all run
+    per sequence. The member's files must not change by a byte."""
+    spec = SyntheticSpec(audio_dim=10, text_dim=8, min_len=40, max_len=44,
+                         separability=2.0, seed=5)
+    generate_synthetic(spec, n_train=64, n_dev=32, out_dir=tmp_path / "data" / "whisper")
+    cfg = ExperimentConfig(models=(ModelSpec("m", "focal", 2.0, "prior"),), hidden=160,
+                           n_transformer_layers=1, batch_size=32, initial_lr=1e-3,
+                           max_epochs=2, seed=4)
+    assert spec.min_len * cfg.hidden * cfg.hidden > autodiff._FLAT_GEMM_MIN
+    run_model(cfg, cfg.models[0], data_dir=tmp_path / "data", out_dir=tmp_path / "flat")
+    monkeypatch.setattr(autodiff, "_FLAT_GEMM_MIN", 10 ** 12)
+    run_model(cfg, cfg.models[0], data_dir=tmp_path / "data", out_dir=tmp_path / "sliced")
+    for name in ("checkpoint.bin", "predictions.jsonl", "log.jsonl"):
+        assert ((tmp_path / "flat" / "m" / name).read_bytes()
+                == (tmp_path / "sliced" / "m" / name).read_bytes()), name
 
 
 def test_default_models_transcribe_the_published_ensemble():

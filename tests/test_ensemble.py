@@ -362,6 +362,30 @@ def test_record_file_inconsistent_record_reports_lineno(tmp_path):
         read_records(path)
 
 
+def test_record_file_rejects_a_repeated_id_naming_both_lines(tmp_path):
+    path = tmp_path / "preds.jsonl"
+    write_records(path, [rec("a", "m", [0.9, 0.1]), rec("b", "m", [0.2, 0.8]),
+                         rec("a", "m", [0.3, 0.7])])
+    with pytest.raises(ValueError, match=r"preds\.jsonl:3: repeated id 'a' \(first on line 1\)"):
+        read_records(path)
+
+
+@pytest.mark.parametrize("line,reason", [
+    ('[0.9, 0.1]', "not a JSON object"),
+    ('"a"', "not a JSON object"),
+    ('{"id": "a", "model": "m", "probs": 5, "pred": 0}', "probs must be a list"),
+    ('{"id": "a", "model": "m", "probs": "ab", "pred": 0}', "probs must be a list"),
+    ('{"id": "a", "model": "m", "probs": [0.9, null], "pred": 0}', "not supported"),
+], ids=["list", "string", "probs_number", "probs_string", "probs_null"])
+def test_record_file_malformed_line_is_a_value_error_naming_the_line(tmp_path, line, reason):
+    path = tmp_path / "preds.jsonl"
+    write_records(path, [rec("z", "m", [0.9, 0.1])])
+    with open(path, "a") as f:
+        f.write(line + "\n")
+    with pytest.raises(ValueError, match=rf"preds\.jsonl:2: bad prediction record: .*{reason}"):
+        read_records(path)
+
+
 def test_record_file_rejects_empty(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("\n\n")

@@ -42,7 +42,8 @@ def test_config_rejects_bad_values():
     with pytest.raises(ValueError, match="dropout"):
         small_config(dropout=1.0)
     for field, value in (("hidden", 8.5), ("n_classes", 3.0), ("lmf_rank", True),
-                         ("audio_dim", 2.5), ("n_transformer_layers", 1.0)):
+                         ("audio_dim", 2.5), ("n_transformer_layers", 1.0),
+                         ("seed", 1.5), ("seed", True)):
         with pytest.raises(TypeError, match=f"{field} must be an integer"):
             small_config(**{field: value})
 

@@ -58,6 +58,8 @@ def test_train_config_validation():
         tiny_train_config(max_epochs=1.5)
     with pytest.raises(TypeError, match="batch_size must be an integer"):
         tiny_train_config(batch_size=True)
+    with pytest.raises(TypeError, match="seed must be an integer"):
+        tiny_train_config(seed=1.5)
     with pytest.raises(TypeError, match="patience must be an integer"):
         SchedulerConfig(patience=2.0)
 

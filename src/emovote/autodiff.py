@@ -168,13 +168,21 @@ def _as_tensor(x, dtype) -> Tensor:
     return Tensor(np.asarray(x, dtype=dtype))
 
 
-def _accum(t: Tensor, g: np.ndarray):
-    """Accumulate gradient g into t.grad (shape-preserving)."""
+def _accum(t: Tensor, g: np.ndarray, fresh: bool = False):
+    """Accumulate gradient g into t.grad (shape-preserving).
+
+    ``fresh`` says the op has just allocated g (or a view of such an array) and
+    keeps no other reference to it, so a first gradient takes g without a copy.
+    An upstream gradient, or a view of one, is copied.
+    """
     if not t.requires_grad:
         return
     _check_finite(g, "backward")
     if t.grad is None:
-        t.grad = g.astype(t.data.dtype, copy=True) if g.dtype != t.data.dtype else g.copy()
+        if g.dtype != t.data.dtype:
+            t.grad = g.astype(t.data.dtype)
+        else:
+            t.grad = g if fresh else g.copy()
     else:
         t.grad += g
 
@@ -211,7 +219,7 @@ def sub(a: Tensor, b) -> Tensor:
 
     def backward(g):
         _accum(a, _unbroadcast(g, a.shape))
-        _accum(b, _unbroadcast(-g, b.shape))
+        _accum(b, _unbroadcast(-g, b.shape), fresh=True)
 
     return Tensor.from_op(out_data, (a, b), backward, "sub")
 
@@ -221,8 +229,8 @@ def mul(a: Tensor, b) -> Tensor:
     out_data = a.data * b.data
 
     def backward(g):
-        _accum(a, _unbroadcast(g * b.data, a.shape))
-        _accum(b, _unbroadcast(g * a.data, b.shape))
+        _accum(a, _unbroadcast(g * b.data, a.shape), fresh=True)
+        _accum(b, _unbroadcast(g * a.data, b.shape), fresh=True)
 
     return Tensor.from_op(out_data, (a, b), backward, "mul")
 
@@ -232,15 +240,15 @@ def div(a: Tensor, b) -> Tensor:
     out_data = a.data / b.data
 
     def backward(g):
-        _accum(a, _unbroadcast(g / b.data, a.shape))
-        _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
+        _accum(a, _unbroadcast(g / b.data, a.shape), fresh=True)
+        _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape), fresh=True)
 
     return Tensor.from_op(out_data, (a, b), backward, "div")
 
 
 def neg(a: Tensor) -> Tensor:
     def backward(g):
-        _accum(a, -g)
+        _accum(a, -g, fresh=True)
 
     return Tensor.from_op(-a.data, (a,), backward, "neg")
 
@@ -249,7 +257,7 @@ def relu(a: Tensor) -> Tensor:
     out_data = np.maximum(a.data, 0)
 
     def backward(g):
-        _accum(a, g * (a.data > 0))
+        _accum(a, g * (a.data > 0), fresh=True)
 
     return Tensor.from_op(out_data, (a,), backward, "relu")
 
@@ -258,7 +266,7 @@ def log(a: Tensor) -> Tensor:
     out_data = np.log(a.data)
 
     def backward(g):
-        _accum(a, g / a.data)
+        _accum(a, g / a.data, fresh=True)
 
     return Tensor.from_op(out_data, (a,), backward, "log")
 
@@ -274,7 +282,7 @@ def pow_const(a: Tensor, exponent: float) -> Tensor:
     def backward(g):
         base = np.zeros_like(a.data)
         np.power(a.data, a.dtype.type(exponent - 1.0), out=base, where=a.data > 0)
-        _accum(a, g * a.dtype.type(exponent) * base)
+        _accum(a, g * a.dtype.type(exponent) * base, fresh=True)
 
     return Tensor.from_op(out_data, (a,), backward, f"pow[{exponent}]")
 
@@ -284,7 +292,7 @@ def clamp_min(a: Tensor, lo: float) -> Tensor:
     out_data = np.maximum(a.data, a.dtype.type(lo))
 
     def backward(g):
-        _accum(a, g * (a.data > lo))
+        _accum(a, g * (a.data > lo), fresh=True)
 
     return Tensor.from_op(out_data, (a,), backward, "clamp_min")
 
@@ -306,6 +314,50 @@ _SEQUENCE_SUM_MIN = 1 << 15
 # checks that on each host. The weight gradient keeps the per-sequence sum above.
 _FLAT_GEMM_MIN = 10 ** 6
 
+# A row block of a flat product or of the per-sequence weight gradient gets its own
+# thread only from this many multiply-adds: the measured crossover on a 2-core host,
+# 1 BLAS thread (at 512x512, 4.2M MACs per block ran 1.13x slower split in two, 8.4M
+# 0.98x, 16.8M 0.71x). It also keeps each block's GEMM above OpenBLAS's direct
+# float32 kernel (M*N*K < 28*512*512), which sums K in one pass where the blocked
+# GEMM of the whole product sums it in panels.
+_SPLIT_MACS_MIN = 1 << 23
+
+
+def _row_product(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """x @ w for 2-D operands, row blocks split over ``kernels.splitter``."""
+    out = np.empty((x.shape[0], w.shape[1]), dtype=np.result_type(x, w))
+
+    def rows(lo, hi):
+        np.matmul(x[lo:hi], w, out=out[lo:hi])
+
+    # two rows at least: OpenBLAS runs a one-row product as GEMV
+    kernels.splitter.run(rows, x.shape[0], max(2, -(-_SPLIT_MACS_MIN // w.size)))
+    return out
+
+
+def _sequence_sum(a3: np.ndarray, g3: np.ndarray) -> np.ndarray:
+    """sum_i a3[i].T @ g3[i], added one sequence at a time in index order.
+
+    That is the batched product's own sum over the leading axes, so the same bits,
+    without its [N, d, k] temporary (one flattened a2.T @ g2 would reorder the sum).
+    Blocks of the d output rows are split over ``kernels.splitter``; each block's
+    GEMMs stay above the small-matrix size of _FLAT_GEMM_MIN.
+    """
+    n, t, d = a3.shape
+    k = g3.shape[-1]
+    gb = np.empty((d, k), dtype=np.result_type(a3, g3))
+    part = np.empty_like(gb)
+
+    def rows(lo, hi):
+        np.matmul(a3[0][:, lo:hi].T, g3[0], out=gb[lo:hi])
+        for i in range(1, n):
+            np.matmul(a3[i][:, lo:hi].T, g3[i], out=part[lo:hi])
+            gb[lo:hi] += part[lo:hi]
+
+    min_rows = max(2, -(-_SPLIT_MACS_MIN // (n * t * k)), _FLAT_GEMM_MIN // (t * k) + 1)
+    kernels.splitter.run(rows, d, min_rows)
+    return gb
+
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.ndim < 2 or b.ndim < 2:
@@ -315,28 +367,22 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     d, k = b.shape[-2:]
     flat = b.ndim == 2 and a.ndim > 2 and a.shape[-2] * d * k > _FLAT_GEMM_MIN
     if flat:
-        out_data = (a.data.reshape(-1, d) @ b.data).reshape(a.shape[:-1] + (k,))
+        out_data = _row_product(a.data.reshape(-1, d), b.data).reshape(a.shape[:-1] + (k,))
     else:
         out_data = np.matmul(a.data, b.data)
 
     def backward(g):
         if flat:
-            ga = (g.reshape(-1, k) @ b.data.T).reshape(a.shape)
+            ga = _row_product(g.reshape(-1, k), b.data.T).reshape(a.shape)
         else:
             ga = _unbroadcast(np.matmul(g, b.data.swapaxes(-1, -2)), a.shape)
-        _accum(a, ga)
+        _accum(a, ga, fresh=True)
         if b.ndim > 2 or b.size < _SEQUENCE_SUM_MIN:
             gb = _unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g), b.shape)
         else:
-            # add a[i].T @ g[i] per sequence in index order: the batched product's own
-            # sum over the leading axes, so the same bits, without its [N, d, k]
-            # temporary (one flattened a2.T @ g2 would reorder the sum)
             t = a.shape[-2]
-            a3, g3 = a.data.reshape(-1, t, d), g.reshape(-1, t, k)
-            gb = a3[0].T @ g3[0]
-            for i in range(1, len(a3)):
-                gb += a3[i].T @ g3[i]
-        _accum(b, gb)
+            gb = _sequence_sum(a.data.reshape(-1, t, d), g.reshape(-1, t, k))
+        _accum(b, gb, fresh=True)
 
     return Tensor.from_op(out_data, (a, b), backward, "matmul")
 
@@ -388,7 +434,7 @@ def gather_rows(a: Tensor, idx) -> Tensor:
     def backward(g):
         ga = np.zeros_like(a.data)
         np.add.at(ga, (rows, idx), g)
-        _accum(a, ga)
+        _accum(a, ga, fresh=True)
 
     return Tensor.from_op(out_data, (a,), backward, "gather_rows")
 
@@ -436,7 +482,7 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     def backward(g):
         g2 = np.ascontiguousarray(np.moveaxis(g, ax, -1).reshape(y2.shape))
         dx2 = kernels.softmax_bwd(y2, g2)
-        _accum(a, np.moveaxis(dx2.reshape(moved.shape), -1, ax))
+        _accum(a, np.moveaxis(dx2.reshape(moved.shape), -1, ax), fresh=True)
 
     return Tensor.from_op(np.ascontiguousarray(out_data), (a,), backward, "softmax")
 
@@ -453,9 +499,9 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     def backward(g):
         g2 = np.ascontiguousarray(g.reshape(-1, d))
         dx, dgain, dbias = kernels.layernorm_bwd(g2, xhat, rstd, gain.data)
-        _accum(a, dx.reshape(a.shape))
-        _accum(gain, dgain)
-        _accum(bias, dbias)
+        _accum(a, dx.reshape(a.shape), fresh=True)
+        _accum(gain, dgain, fresh=True)
+        _accum(bias, dbias, fresh=True)
 
     return Tensor.from_op(out_data, (a, gain, bias), backward, "layer_norm")
 

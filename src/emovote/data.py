@@ -167,6 +167,18 @@ def load_manifest(path, class_names=DEFAULT_CLASS_NAMES) -> list[ManifestEntry]:
         raise FileNotFoundError(f"manifest not found: {path}")
     base = path.parent
     name_to_idx = {name: i for i, name in enumerate(class_names)}
+    dirs: dict[Path, Path] = {}
+
+    def resolve(rel: str) -> Path:
+        # Path.resolve() of base/rel, resolving each distinct directory once and
+        # following the file itself only when it is a symlink
+        p = base / rel
+        parent = dirs.get(p.parent)
+        if parent is None:
+            parent = dirs[p.parent] = p.parent.resolve()
+        p = parent / p.name
+        return p.resolve() if p.is_symlink() else p
+
     entries: list[ManifestEntry] = []
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         stripped = line.strip()
@@ -183,8 +195,7 @@ def load_manifest(path, class_names=DEFAULT_CLASS_NAMES) -> list[ManifestEntry]:
         else:
             raise ValueError(f"{path}:{lineno}: unknown label {label_str!r} "
                              f"(known: {', '.join(class_names)})")
-        audio_path = (base / audio_rel).resolve()
-        text_path = (base / text_rel).resolve()
+        audio_path, text_path = resolve(audio_rel), resolve(text_rel)
         for p in (audio_path, text_path):
             if not p.exists():
                 raise FileNotFoundError(f"{path}:{lineno}: referenced feature file missing: {p}")

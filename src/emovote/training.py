@@ -4,8 +4,10 @@ best-dev-Macro-F1 checkpoint selection.
 Everything is deterministic given the seed: epoch shuffles, dropout draws,
 and optimizer state all derive from it, so two runs with the same seed on the
 same BLAS build and BLAS thread count produce bit-identical loss traces and
-checkpoints. Another thread count may split the GEMMs differently and change
-the bits (a hidden-160 tensor-fusion member does).
+checkpoints. Another BLAS thread count may split the GEMMs differently and
+change the bits (a hidden-160 tensor-fusion member does). The number of
+workers that ``kernels.splitter`` runs row blocks on does not: every element
+gets the same arithmetic in any split.
 """
 
 from __future__ import annotations

@@ -1,7 +1,11 @@
-"""Shared test utilities: batch builders and float64 conversion for grad checks."""
+"""Shared test utilities: batch builders, float64 conversion for grad checks and a
+row splitter that records how each kernel call was split."""
+
+from contextlib import contextmanager
 
 import numpy as np
 
+from emovote import kernels
 from emovote.autodiff import Tensor
 from emovote.data import Batch
 
@@ -71,3 +75,41 @@ def model_to_float64(model):
 def leaf(data, dtype=np.float64):
     """Float64 leaf tensor with gradients enabled, for grad_check graphs."""
     return Tensor(np.asarray(data, dtype=dtype), requires_grad=True, dtype=dtype)
+
+
+class RecordingSplitter(kernels.RowSplitter):
+    """A RowSplitter that notes, per call, the calling kernel and its block count,
+    and checks that the blocks cover the rows exactly once."""
+
+    def __init__(self, workers):
+        super().__init__(workers)
+        self.calls = []  # (name of the function that defines the block, blocks run)
+
+    def run(self, block, n_rows, min_rows, *tasks):
+        spans = []
+
+        def recording(lo, hi):
+            spans.append((lo, hi))
+            block(lo, hi)
+
+        super().run(recording, n_rows, min_rows, *tasks)
+        spans.sort()
+        assert [lo for lo, _ in spans] == [0] + [hi for _, hi in spans[:-1]]
+        assert spans[-1][1] == n_rows
+        self.calls.append((block.__qualname__.split(".")[0], len(spans)))
+
+    def split_kernels(self):
+        """Names of the kernels that ran in more than one block, sorted."""
+        return sorted({name for name, blocks in self.calls if blocks > 1})
+
+
+@contextmanager
+def row_splitter(workers):
+    """Make kernel and matmul row blocks run on a RecordingSplitter of ``workers``."""
+    previous = kernels.splitter
+    kernels.splitter = recorder = RecordingSplitter(workers)
+    try:
+        yield recorder
+    finally:
+        kernels.splitter = previous
+        recorder.close()

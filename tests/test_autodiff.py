@@ -10,7 +10,7 @@ from emovote.autodiff import (EmptySequenceError, NumericsError, ShapeError,
                               relu, reshape, softmax, sub,
                               tmean, transpose_last, tsum, _FLAT_GEMM_MIN,
                               _SEQUENCE_SUM_MIN, _unbroadcast)
-from helpers import leaf
+from helpers import leaf, row_splitter
 
 N_SEEDS = 10
 OP_TOL = 1e-4
@@ -142,33 +142,43 @@ def test_matmul_gradient_4d_input_2d_weight():
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("a_shape,k,path", [
-    ((6, 5), 3, "batched"), ((4, 7, 16), 12, "batched"), ((12, 17, 16), 32, "batched"),
-    ((6, 256), 128, "batched"), ((4, 7, 200), 200, "batched"),
-    ((3, 2, 5, 256), 128, "batched"), ((32, 40, 24), 512, "batched"),
-    ((8, 40, 512), 512, "flat"), ((32, 40, 512), 1024, "flat"), ((12, 37, 1024), 512, "flat"),
-    ((64, 39, 128), 256, "flat")])
-def test_matmul_weight_product_matches_the_batched_formulas_bitwise(dtype, a_shape, k, path):
+@pytest.mark.parametrize("a_shape,k,path,split", [
+    ((6, 5), 3, "batched", "-"), ((4, 7, 16), 12, "batched", "-"),
+    ((12, 17, 16), 32, "batched", "-"), ((6, 256), 128, "batched", "-"),
+    ((4, 7, 200), 200, "batched", "-"), ((3, 2, 5, 256), 128, "batched", "-"),
+    ((32, 40, 24), 512, "batched", "-"), ((8, 40, 512), 512, "flat", "rows+seq"),
+    ((32, 40, 512), 1024, "flat", "rows+seq"), ((12, 37, 1024), 512, "flat", "rows+seq"),
+    ((64, 39, 128), 256, "flat", "rows")])
+def test_matmul_weight_product_matches_the_batched_formulas_bitwise(dtype, a_shape, k, path,
+                                                                     split):
     """[..., T, d] @ [d, k], with the weight below and above the per-sequence-sum size
     and the product below and above the flat-GEMM size: output and gradients carry the
-    batched formulas' exact bits, also for an upstream gradient laid out transposed (as
-    the attention keys' is). Each case pins the path it takes, so that moving
-    _FLAT_GEMM_MIN cannot quietly drop the flat cases."""
+    batched formulas' exact bits at 1, 2 and 3 row-split workers, also for an upstream
+    gradient laid out transposed (as the attention keys' is). Each case pins the path
+    it takes and which products 2 workers split ("rows": the flat forward and input
+    gradient, "seq": the per-sequence weight gradient), so that moving _FLAT_GEMM_MIN
+    or _SPLIT_MACS_MIN cannot quietly drop the flat or split cases."""
     flat = len(a_shape) > 2 and a_shape[-2] * a_shape[-1] * k > _FLAT_GEMM_MIN
     assert path == ("flat" if flat else "batched")
+    split_kernels = {"-": [], "rows": ["_row_product"],
+                     "rows+seq": ["_row_product", "_sequence_sum"]}[split]
     rng = np.random.default_rng(7)
     a_np = rng.standard_normal(a_shape).astype(dtype)
     b_np = rng.standard_normal((a_shape[-1], k)).astype(dtype)
     g_c = rng.standard_normal(a_shape[:-1] + (k,)).astype(dtype)
     g_t = np.ascontiguousarray(g_c.swapaxes(-1, -2)).swapaxes(-1, -2)
     for g in (g_c, g_t):
-        a, b = Tensor(a_np, requires_grad=True), Tensor(b_np, requires_grad=True)
-        out = matmul(a, b)
-        out._backward_fn(g)
-        assert np.array_equal(out.data, np.matmul(a_np, b_np))
-        assert np.array_equal(a.grad, _unbroadcast(np.matmul(g, b_np.swapaxes(-1, -2)), a_shape))
-        assert np.array_equal(b.grad, _unbroadcast(np.matmul(a_np.swapaxes(-1, -2), g),
-                                                   b_np.shape))
+        ref_ga = _unbroadcast(np.matmul(g, b_np.swapaxes(-1, -2)), a_shape)
+        ref_gb = _unbroadcast(np.matmul(a_np.swapaxes(-1, -2), g), b_np.shape)
+        for workers in (1, 2, 3):
+            with row_splitter(workers) as rec:
+                a, b = Tensor(a_np, requires_grad=True), Tensor(b_np, requires_grad=True)
+                out = matmul(a, b)
+                out._backward_fn(g)
+            assert np.array_equal(out.data, np.matmul(a_np, b_np)), workers
+            assert np.array_equal(a.grad, ref_ga), workers
+            assert np.array_equal(b.grad, ref_gb), workers
+            assert rec.split_kernels() == (split_kernels if workers > 1 else []), workers
 
 
 def test_matmul_shape_error_names_both_shapes():
@@ -306,6 +316,58 @@ def test_diamond_graph_accumulates_once():
     z = tsum(mul(y, y))
     z.backward()
     np.testing.assert_allclose(x.grad, [8.0 * 2.0])
+
+
+def test_shared_weight_gets_both_products_gradient_in_its_own_buffer(rng):
+    """A weight used by two products sums both gradients; gradients that ops hand over
+    without a copy never leave two tensors sharing one buffer."""
+    x1 = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
+    x2 = Tensor(rng.standard_normal((5, 4)), requires_grad=True)
+    w = Tensor(rng.standard_normal((4, 6)), requires_grad=True)
+    gain = Tensor(rng.standard_normal(6), requires_grad=True)
+    bias = Tensor(rng.standard_normal(6), requires_grad=True)
+    h1 = layer_norm(matmul(x1, w), gain, bias)
+    h2 = softmax(mul(relu(matmul(x2, w)), x2.data[:, :1]), axis=-1)
+    out = add(tsum(mul(h1, h1)), tsum(mul(h2, neg(h2))))
+    out.backward()
+
+    y1 = np.matmul(x1.data, w.data)
+    dy1 = _layer_norm_input_grad(y1, gain.data, bias.data)
+    d1 = x1.data.reshape(-1, 4).T @ dy1.reshape(-1, 6)
+    assert np.allclose(w.grad, d1 + _softmax_branch_weight_grad(x2.data, w.data), rtol=1e-10)
+
+    nodes, stack = [], [out]
+    while stack:
+        node = stack.pop()
+        if all(node is not n for n in nodes):
+            nodes.append(node)
+            stack.extend(node.parents)
+    grads = [n.grad for n in nodes if n.grad is not None]
+    assert len(grads) > 10
+    for i, a in enumerate(grads):
+        for b in grads[i + 1:]:
+            assert not np.shares_memory(a, b)
+
+
+def _layer_norm_input_grad(y, gain, bias, eps=1e-5):
+    """d/dy of sum(layer_norm(y)^2), written out directly."""
+    mu = y.mean(axis=-1, keepdims=True)
+    rstd = 1.0 / np.sqrt(((y - mu) ** 2).mean(axis=-1, keepdims=True) + eps)
+    xhat = (y - mu) * rstd
+    dxhat = 2 * (xhat * gain + bias) * gain
+    return rstd * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                   - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+
+
+def _softmax_branch_weight_grad(x2, w):
+    """d/dw of -sum(softmax(relu(x2 @ w) * x2[:, :1])^2), written out directly."""
+    z = x2 @ w
+    s = x2[:, :1]
+    p = np.exp(z.clip(0) * s - (z.clip(0) * s).max(axis=-1, keepdims=True))
+    p /= p.sum(axis=-1, keepdims=True)
+    dp = -2 * p
+    dlogit = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
+    return x2.T @ (dlogit * s * (z > 0))
 
 
 def test_gradient_shape_matches_data_shape():

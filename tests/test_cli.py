@@ -1,6 +1,7 @@
 """The command-line interface and experiment configuration, end to end."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from emovote.experiment import (AUDIO_SOURCES, ExperimentConfig, ModelSpec,
                                 load_synthetic_spec, model_seed, run_model)
 from emovote.metrics import bleu, corpus_wer, gleu, tokenize
 from emovote.model import load_checkpoint
+from helpers import row_splitter
 
 
 SPEC_JSON = {
@@ -482,23 +484,41 @@ def test_run_model_writes_the_best_epochs_train_time_predictions(cli_data_dir, t
     assert bundle.macro_f1 == result.dev_macro_f1
 
 
-def test_flat_gemm_path_leaves_a_members_files_byte_identical(tmp_path, monkeypatch):
-    """At hidden 160 and T >= 40 the attention, input-MLP fc2 and FFN products take
-    the flat 2-D GEMM path; with the gate raised above every product they all run
-    per sequence. The member's files must not change by a byte."""
-    spec = SyntheticSpec(audio_dim=10, text_dim=8, min_len=40, max_len=44,
-                         separability=2.0, seed=5)
-    generate_synthetic(spec, n_train=64, n_dev=32, out_dir=tmp_path / "data" / "whisper")
-    cfg = ExperimentConfig(models=(ModelSpec("m", "focal", 2.0, "prior"),), hidden=160,
-                           n_transformer_layers=1, batch_size=32, initial_lr=1e-3,
-                           max_epochs=2, seed=4)
-    assert spec.min_len * cfg.hidden * cfg.hidden > autodiff._FLAT_GEMM_MIN
-    run_model(cfg, cfg.models[0], data_dir=tmp_path / "data", out_dir=tmp_path / "flat")
+# hidden 160 at T >= 40: the attention, input-MLP fc2 and FFN products take the flat
+# 2-D GEMM path, and at 2 workers the products and layer norms split their rows
+H160_SPEC = SyntheticSpec(audio_dim=10, text_dim=8, min_len=40, max_len=44,
+                          separability=2.0, seed=5)
+H160_CONFIG = ExperimentConfig(models=(ModelSpec("m", "focal", 2.0, "prior"),), hidden=160,
+                               n_transformer_layers=1, batch_size=32, initial_lr=1e-3,
+                               max_epochs=2, seed=4)
+
+
+def _train_h160_member(root, run, workers):
+    """Train the hidden-160 member into root/run on ``workers`` row-split workers;
+    return the kernels that ran in more than one block."""
+    root = Path(root)
+    with row_splitter(workers) as rec:
+        run_model(H160_CONFIG, H160_CONFIG.models[0], data_dir=root / "data", out_dir=root / run)
+    return rec.split_kernels()
+
+
+def test_flat_gemm_and_row_split_leave_a_members_files_byte_identical(tmp_path, monkeypatch,
+                                                                     one_blas_thread):
+    """The member's files must not change by a byte when the flat-GEMM gate is raised
+    above every product (so they all run per sequence), nor, at one BLAS thread, when
+    the row blocks run on 2 workers instead of 1."""
+    generate_synthetic(H160_SPEC, n_train=64, n_dev=32, out_dir=tmp_path / "data" / "whisper")
+    assert H160_SPEC.min_len * H160_CONFIG.hidden ** 2 > autodiff._FLAT_GEMM_MIN
+    assert _train_h160_member(tmp_path, "flat", 1) == []
     monkeypatch.setattr(autodiff, "_FLAT_GEMM_MIN", 10 ** 12)
-    run_model(cfg, cfg.models[0], data_dir=tmp_path / "data", out_dir=tmp_path / "sliced")
-    for name in ("checkpoint.bin", "predictions.jsonl", "log.jsonl"):
-        assert ((tmp_path / "flat" / "m" / name).read_bytes()
-                == (tmp_path / "sliced" / "m" / name).read_bytes()), name
+    _train_h160_member(tmp_path, "sliced", 1)
+    assert one_blas_thread(_train_h160_member, str(tmp_path), "one_worker", 1) == []
+    assert one_blas_thread(_train_h160_member, str(tmp_path), "two_workers", 2) == [
+        "_row_product", "_sequence_sum", "layernorm_bwd_numpy", "layernorm_fwd_numpy"]
+    for a, b in (("flat", "sliced"), ("one_worker", "two_workers")):
+        for name in ("checkpoint.bin", "predictions.jsonl", "log.jsonl"):
+            assert ((tmp_path / a / "m" / name).read_bytes()
+                    == (tmp_path / b / "m" / name).read_bytes()), (a, b, name)
 
 
 def test_default_models_transcribe_the_published_ensemble():

@@ -185,6 +185,31 @@ def test_manifest_missing_feature_file(rng, tmp_path):
         load_manifest(manifest)
 
 
+def test_manifest_resolves_symlinked_feature_dirs_and_files(rng, tmp_path):
+    """Stored paths are what Path.resolve() gives, through a symlinked feature
+    directory and through a feature file that is itself a symlink."""
+    entries = _write_corpus(tmp_path / "real", rng, [0, 1, 2])
+    (tmp_path / "corpus").mkdir()
+    os.symlink(tmp_path / "real" / "feats", tmp_path / "corpus" / "feats")
+    os.symlink(tmp_path / "real" / "feats" / "u2.text.bin", tmp_path / "corpus" / "text2.bin")
+    manifest = tmp_path / "corpus" / "split.tsv"
+    manifest.write_text("u0\tNeutral\tfeats/u0.audio.bin\tfeats/u0.text.bin\n"
+                        "u1\tHappy\tfeats/u1.audio.bin\t../real/feats/u1.text.bin\n"
+                        "u2\tAngry\tfeats/../feats/u2.audio.bin\ttext2.bin\n")
+    back = load_manifest(manifest)
+    base = manifest.parent
+    for line, got in zip(manifest.read_text().splitlines(), back):
+        _, _, audio_rel, text_rel = line.split("\t")
+        assert got.audio_path == (base / audio_rel).resolve()
+        assert got.text_path == (base / text_rel).resolve()
+    assert [e.text_path for e in back] == [e.text_path.resolve() for e in entries]
+    for orig, loaded in zip(load_utterances(entries), load_utterances(back)):
+        np.testing.assert_array_equal(orig.audio, loaded.audio)
+    os.unlink(tmp_path / "real" / "feats" / "u2.text.bin")
+    with pytest.raises(FileNotFoundError, match=r"split\.tsv:3: .*u2\.text\.bin"):
+        load_manifest(manifest)
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_load_utterances_rejects_non_finite_features_naming_the_file(tiny_spec, tmp_path,
                                                                     value):

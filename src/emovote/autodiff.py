@@ -6,13 +6,20 @@ closure implementing the backward rule. ``backward()`` walks the graph once in
 reverse topological order and accumulates gradients into ``.grad``.
 
 Training runs in float32; gradient checking runs the same graph in float64
-(see :func:`grad_check`). Every op asserts its output is finite; a NaN/Inf
-anywhere raises :class:`NumericsError` immediately rather than corrupting the
-run.
+(see :func:`grad_check`). By default every op asserts that its output and each
+gradient it hands back are finite, so a NaN/Inf raises :class:`NumericsError`
+naming the op that made it. Inside :func:`_unchecked` those per-op sweeps are
+skipped: the training step and batched prediction run there and check their
+results once (the loss, the gradient norm, the probabilities), then replay a
+failed step or batch with the per-op checks on to name the op. A non-finite
+value that reaches none of those results, such as a -inf logit whose softmax
+weight is exactly 0, is caught only by the per-op checks.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import Callable, Sequence
 
 import numpy as np
@@ -39,6 +46,27 @@ def _check_finite(arr: np.ndarray, op: str):
         raise NumericsError(f"non-finite values produced by op '{op}'")
 
 
+# False inside _unchecked(): Tensor.from_op and _accum then skip _check_finite. A
+# context variable, so a scope in one thread leaves another thread's ops checked.
+_per_op_checks = ContextVar("emovote_per_op_checks", default=True)
+
+
+@contextmanager
+def _unchecked():
+    """Skip the per-op finite checks of the ops run in this block, and numpy's
+    floating-point warnings, which would repeat for every op a NaN passes through.
+
+    The caller checks what the block produced and, when that fails, replays it
+    outside the block, where the error and the warnings name the first op.
+    """
+    token = _per_op_checks.set(False)
+    try:
+        with np.errstate(all="ignore"):
+            yield
+    finally:
+        _per_op_checks.reset(token)
+
+
 class Tensor:
     """Dense float array plus its graph node (op, parents, gradient).
 
@@ -63,8 +91,10 @@ class Tensor:
     @classmethod
     def from_op(cls, data: np.ndarray, parents: tuple["Tensor", ...],
                 backward: Callable[[np.ndarray], None] | None, op: str) -> "Tensor":
-        """Create a graph node for an op output; checks finiteness."""
-        _check_finite(data, op)
+        """Create a graph node for an op output; checks finiteness outside
+        :func:`_unchecked`."""
+        if _per_op_checks.get():
+            _check_finite(data, op)
         out = cls.__new__(cls)
         out.data = data
         out.grad = None
@@ -177,7 +207,8 @@ def _accum(t: Tensor, g: np.ndarray, fresh: bool = False):
     """
     if not t.requires_grad:
         return
-    _check_finite(g, "backward")
+    if _per_op_checks.get():
+        _check_finite(g, "backward")
     if t.grad is None:
         if g.dtype != t.data.dtype:
             t.grad = g.astype(t.data.dtype)

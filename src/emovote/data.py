@@ -180,6 +180,7 @@ def load_manifest(path, class_names=DEFAULT_CLASS_NAMES) -> list[ManifestEntry]:
         return p.resolve() if p.is_symlink() else p
 
     entries: list[ManifestEntry] = []
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -188,6 +189,10 @@ def load_manifest(path, class_names=DEFAULT_CLASS_NAMES) -> list[ManifestEntry]:
         if len(fields) != 4:
             raise ValueError(f"{path}:{lineno}: expected 4 tab-separated fields, got {len(fields)}")
         utt_id, label_str, audio_rel, text_rel = fields
+        if utt_id in first_line:
+            raise ValueError(f"{path}:{lineno}: repeated id {utt_id!r} "
+                             f"(first on line {first_line[utt_id]})")
+        first_line[utt_id] = lineno
         if label_str == "-":
             label = None
         elif label_str in name_to_idx:
@@ -205,7 +210,21 @@ def load_manifest(path, class_names=DEFAULT_CLASS_NAMES) -> list[ManifestEntry]:
 
 
 def load_utterances(entries) -> list[Utterance]:
-    return [e.load() for e in entries]
+    """Load every entry's features; each modality's feature dim must match the
+    first utterance's, or the error names the feature file that differs."""
+    utterances: list[Utterance] = []
+    for e in entries:
+        u = e.load()
+        if utterances:
+            first = utterances[0]
+            for modality, path, dim, want in (
+                    ("audio", e.audio_path, u.audio.shape[1], first.audio.shape[1]),
+                    ("text", e.text_path, u.text.shape[1], first.text.shape[1])):
+                if dim != want:
+                    raise ValueError(f"{path}: {modality} feature dim {dim} differs from "
+                                     f"{want} of the first utterance {first.utt_id!r}")
+        utterances.append(u)
+    return utterances
 
 
 def count_labels(items, n_classes: int) -> np.ndarray:

@@ -27,7 +27,9 @@ from pathlib import Path
 
 import numpy as np
 
+from . import autodiff
 from .autodiff import (
+    NumericsError,
     ShapeError,
     Tensor,
     add,
@@ -375,7 +377,20 @@ class Model:
         return softmax(self.fused_head(z), axis=-1)
 
     def predict_probs(self, batch: Batch) -> np.ndarray:
-        return self.forward(batch).data
+        """Eval-mode class probabilities as an array, [batch, n_classes].
+
+        The forward runs without per-op finite checks and its output is checked
+        once; a non-finite batch is run again with per-op checks, so that the
+        NumericsError names the op.
+        """
+        with autodiff._unchecked():
+            probs = self.forward(batch).data
+        try:
+            autodiff._check_finite(probs, "predict_probs")
+        except NumericsError:
+            self.forward(batch)
+            raise
+        return probs
 
     def zero_grads(self):
         for t in self.parameters.values():

@@ -20,8 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import kernels
-from .autodiff import NumericsError
+from . import autodiff, kernels
+from .autodiff import NumericsError, Tensor
 from .data import Utterance, _atomic_write_bytes, check_counts, make_batches
 from .ensemble import PredictionRecord
 from .losses import LossConfig, compute_loss
@@ -119,7 +119,13 @@ class Adam:
         return math.sqrt(total)
 
     def step(self):
+        """One clipped update; a non-finite gradient norm raises NumericsError
+        before any parameter or moment changes."""
         norm = self.grad_norm()
+        if not math.isfinite(norm):
+            # a float64 sum of squares of float32 gradients cannot overflow, so
+            # some element is NaN or Inf
+            raise NumericsError(f"gradient norm is {norm}")
         scale = self.clip_norm / norm if norm > self.clip_norm else 1.0
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
@@ -181,6 +187,28 @@ def evaluate(model: Model, dataset: list[Utterance], batch_size: int = 128,
     return records, bundle
 
 
+def _train_step(model: Model, batch, cfg: TrainConfig, rng: np.random.Generator) -> Tensor:
+    """Forward, loss and backward of one batch; returns the loss node."""
+    probs = model.forward(batch, train=True, rng=rng)
+    loss = compute_loss(probs, batch.labels, cfg.loss)
+    autodiff._check_finite(loss.data, "loss")
+    loss.backward()
+    return loss
+
+
+def _replay_step(model: Model, batch, cfg: TrainConfig, rng: np.random.Generator,
+                 rng_state: dict) -> NumericsError | None:
+    """Re-run a failed step from its dropout-RNG state with per-op finite checks
+    on; returns the error that names the op, or None if the step now passes."""
+    model.zero_grads()
+    rng.bit_generator.state = rng_state
+    try:
+        _train_step(model, batch, cfg, rng)
+    except NumericsError as e:
+        return e
+    return None
+
+
 def train(model: Model, train_set: list[Utterance], dev_set: list[Utterance],
           cfg: TrainConfig, checkpoint_path, log_path=None,
           model_tag: str = "model") -> TrainReport:
@@ -188,8 +216,12 @@ def train(model: Model, train_set: list[Utterance], dev_set: list[Utterance],
     ``model_tag``) of the best dev-Macro-F1 epoch.
 
     ``log_path`` gets one JSON line per epoch, flushed as the epoch ends.
-    Raises NumericsError with epoch/batch coordinates if the loss or any
-    gradient stops being finite.
+    Each step's forward, loss and backward run without per-op finite checks;
+    the step checks the loss and, in ``Adam.step``, the gradient norm. When
+    either is not finite, the step is replayed from its saved dropout-RNG state
+    with per-op checks on, and NumericsError is raised as ``training aborted at
+    epoch E, batch B: <the op's message>``, the same text a run checking every
+    op gives. A failed step changes no parameter and no optimizer state.
     """
     if not train_set or not dev_set:
         raise ValueError("train: empty train or dev set")
@@ -214,19 +246,18 @@ def train(model: Model, train_set: list[Utterance], dev_set: list[Utterance],
         total_loss, total_n = 0.0, 0
         for bi, batch in enumerate(batches):
             model.zero_grads()
+            rng_state = drop_rng.bit_generator.state
             try:
-                probs = model.forward(batch, train=True, rng=drop_rng)
-                loss = compute_loss(probs, batch.labels, cfg.loss)
-                loss_val = loss.item()
-                if not math.isfinite(loss_val):
-                    raise NumericsError("loss is not finite")
-                loss.backward()
+                with autodiff._unchecked():
+                    loss = _train_step(model, batch, cfg, drop_rng)
+                opt.step()
             except NumericsError as e:
-                raise NumericsError(f"training aborted at epoch {epoch}, batch {bi}: {e}") from e
-            opt.step()
-            total_loss += loss_val * batch.size
+                cause = _replay_step(model, batch, cfg, drop_rng, rng_state) or e
+                raise NumericsError(f"training aborted at epoch {epoch}, batch {bi}: "
+                                    f"{cause}") from cause
+            total_loss += loss.item() * batch.size
             total_n += batch.size
-        del probs, loss  # the last step's graph must not live through the dev pass
+        del loss  # the last step's graph must not live through the dev pass
         epoch_loss = total_loss / total_n
         records, bundle = evaluate(model, dev_set, cfg.batch_size, model_tag=model_tag)
         report.train_loss.append(epoch_loss)

@@ -1,8 +1,11 @@
 """Autodiff correctness: per-op gradient checks, fixtures, and error paths."""
 
+import threading
+
 import numpy as np
 import pytest
 
+from emovote import autodiff
 from emovote.autodiff import (EmptySequenceError, NumericsError, ShapeError,
                               Tensor, add, clamp_min, concat, div, dropout,
                               gather_rows, grad_check, layer_norm, log,
@@ -397,6 +400,30 @@ def test_no_grad_leaves_are_skipped():
 def test_finite_check_raises_on_inf():
     with pytest.raises(NumericsError), np.errstate(divide="ignore"):
         log(Tensor(np.zeros(2), requires_grad=True, dtype=np.float64))
+
+
+def test_unchecked_scope_skips_the_checks_of_its_own_thread_only():
+    zeros = Tensor(np.zeros(2), requires_grad=True, dtype=np.float64)
+    errors = []
+
+    def log_in_another_thread():
+        with np.errstate(divide="ignore"):
+            try:
+                log(zeros)
+            except NumericsError as e:
+                errors.append(e)
+
+    with pytest.raises(KeyError), autodiff._unchecked():
+        out = log(zeros)
+        out.backward()  # the gradient 1/0 is not checked either
+        worker = threading.Thread(target=log_in_another_thread)
+        worker.start()
+        worker.join(timeout=10)
+        raise KeyError("leave the scope by an exception")
+    assert np.isneginf(out.data).all() and np.isinf(zeros.grad).all()
+    assert not worker.is_alive() and len(errors) == 1
+    with pytest.raises(NumericsError, match="op 'log'"), np.errstate(divide="ignore"):
+        log(zeros)
 
 
 def test_grad_check_rejects_float32_params():

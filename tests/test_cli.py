@@ -1,5 +1,6 @@
 """The command-line interface and experiment configuration, end to end."""
 
+import contextlib
 import json
 from pathlib import Path
 
@@ -296,6 +297,42 @@ def test_eval_unlabeled_manifest(trained_runs, cli_data_dir, tmp_path, capsys):
     assert len(read_records(tmp_path / "u.jsonl")) == 32
 
 
+def _manifest_copy(src, dst):
+    """Write src's records to dst with absolute feature paths; return src's entries."""
+    entries = load_manifest(src)
+    dst.write_text("".join(f"{e.utt_id}\t{data.DEFAULT_CLASS_NAMES[e.label]}\t"
+                           f"{e.audio_path}\t{e.text_path}\n" for e in entries))
+    return entries
+
+
+def test_eval_refuses_a_feature_dim_that_differs_naming_the_file(trained_runs, cli_data_dir,
+                                                                 tmp_path, capsys):
+    odd = tmp_path / "odd.audio.bin"
+    manifest = tmp_path / "dev.tsv"
+    entries = _manifest_copy(cli_data_dir / "whisper" / "dev.tsv", manifest)
+    manifest.write_text(manifest.read_text().replace(str(entries[5].audio_path), str(odd)))
+    frames = read_features(entries[5].audio_path)
+    data.write_features(odd, np.zeros((frames.shape[0], frames.shape[1] - 1)))
+    code = main(["eval", "--checkpoint", str(trained_runs / "model1" / "checkpoint.bin"),
+                 "--manifest", str(manifest)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: {odd}: audio feature dim {frames.shape[1] - 1} differs from {frames.shape[1]} ")
+
+
+def test_ensemble_refuses_a_labels_manifest_that_repeats_an_id(trained_runs, cli_data_dir,
+                                                               tmp_path, capsys):
+    labels = tmp_path / "dev.tsv"
+    entries = _manifest_copy(cli_data_dir / "whisper" / "dev.tsv", labels)
+    text = labels.read_text()
+    labels.write_text(text + text.splitlines(keepends=True)[0])
+    code = main(["ensemble", str(trained_runs / "model1" / "predictions.jsonl"),
+                 "--labels", str(labels), "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err == (f"error: {labels}:{len(entries) + 1}: repeated id "
+                                       f"{entries[0].utt_id!r} (first on line 1)\n")
+
+
 def test_eval_missing_checkpoint_fails(cli_data_dir, tmp_path, capsys):
     code = main(["eval", "--checkpoint", str(tmp_path / "none.bin"),
                  "--manifest", str(cli_data_dir / "whisper" / "dev.tsv")])
@@ -519,6 +556,23 @@ def test_flat_gemm_and_row_split_leave_a_members_files_byte_identical(tmp_path, 
         for name in ("checkpoint.bin", "predictions.jsonl", "log.jsonl"):
             assert ((tmp_path / a / "m" / name).read_bytes()
                     == (tmp_path / b / "m" / name).read_bytes()), (a, b, name)
+
+
+@pytest.mark.parametrize("fusion", ["early", "late", "early_plus_late", "tensor",
+                                    "low_rank_tensor"])
+def test_deferred_finite_checks_leave_a_members_files_byte_identical(cli_data_dir, tmp_path,
+                                                                    monkeypatch, fusion):
+    """Checking the loss and gradient norm once per step, and the probabilities once
+    per dev batch, must write the bytes that checking every op writes."""
+    cfg = ExperimentConfig(models=(ModelSpec("m", "focal", 2.0, "prior", fusion=fusion),),
+                           hidden=16, n_transformer_layers=1, batch_size=16,
+                           initial_lr=1e-3, max_epochs=2, seed=6)
+    run_model(cfg, cfg.models[0], data_dir=cli_data_dir, out_dir=tmp_path / "deferred")
+    monkeypatch.setattr(autodiff, "_unchecked", contextlib.nullcontext)
+    run_model(cfg, cfg.models[0], data_dir=cli_data_dir, out_dir=tmp_path / "per_op")
+    for name in ("checkpoint.bin", "predictions.jsonl", "log.jsonl"):
+        assert ((tmp_path / "deferred" / "m" / name).read_bytes()
+                == (tmp_path / "per_op" / "m" / name).read_bytes()), name
 
 
 def test_default_models_transcribe_the_published_ensemble():

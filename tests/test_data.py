@@ -176,6 +176,31 @@ def test_manifest_wrong_field_count_names_line(rng, tmp_path):
         load_manifest(manifest)
 
 
+def test_manifest_refuses_a_repeated_id_naming_both_lines(rng, tmp_path):
+    entries = _write_corpus(tmp_path, rng, [0, 1])
+    manifest = tmp_path / "split.tsv"
+    write_manifest(manifest, entries)
+    with open(manifest, "a") as f:
+        f.write("# a comment keeps its line number\n")
+        f.write("u0\tHappy\tfeats/u1.audio.bin\tfeats/u1.text.bin\n")
+    with pytest.raises(ValueError, match=r"split\.tsv:5: repeated id 'u0' \(first on line 2\)"):
+        load_manifest(manifest)
+
+
+@pytest.mark.parametrize("modality", ["audio", "text"])
+def test_load_utterances_refuses_a_feature_dim_that_differs_naming_the_file(rng, tmp_path,
+                                                                           modality):
+    entries = _write_corpus(tmp_path, rng, [0, 1, 2])
+    bad = getattr(entries[2], f"{modality}_path")
+    frames = read_features(bad)
+    write_features(bad, np.zeros((frames.shape[0], frames.shape[1] + 2)))
+    want = frames.shape[1]
+    with pytest.raises(ValueError, match=f"{modality} feature dim {want + 2} differs from "
+                                         f"{want} of the first utterance 'u0'") as err:
+        load_utterances(entries)
+    assert str(err.value).startswith(f"{bad}: ")
+
+
 def test_manifest_missing_feature_file(rng, tmp_path):
     entries = _write_corpus(tmp_path, rng, [0])
     manifest = tmp_path / "split.tsv"

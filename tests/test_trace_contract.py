@@ -33,4 +33,6 @@ def test_tracer_spans_a_tiny_train_and_eval(tiny_spec, tmp_path):
                  "autodiff.fwd.matmul", "autodiff.bwd.matmul", "data.read_features"):
         assert snap["totals"][name][0] >= 1, name
     assert len(snap["step_ms"]) == 2  # 32 utterances, batch 16, one epoch
+    # perfbench/report.py divides this count by the steps; each step checks its loss
+    assert snap["counts"]["autodiff.step_finite_checks"] >= len(snap["step_ms"])
     assert not hasattr(model.Model.forward, "__wrapped__")

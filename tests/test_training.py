@@ -1,5 +1,6 @@
 """Optimizer, scheduler, and the training loop: rules, determinism, descent."""
 
+import contextlib
 import gc
 import json
 import math
@@ -8,8 +9,8 @@ import weakref
 import numpy as np
 import pytest
 
-from emovote import training
-from emovote.autodiff import NumericsError, Tensor
+from emovote import autodiff, model as model_module, training
+from emovote.autodiff import NumericsError, Tensor, log
 from emovote.data import SyntheticSpec, generate_synthetic, load_manifest, load_utterances
 from emovote.losses import LossConfig, compute_loss
 from emovote.model import Model, ModelConfig, load_checkpoint
@@ -185,6 +186,24 @@ def test_adam_zero_lr_is_a_no_op(rng):
     opt.step()
     for n in params:
         np.testing.assert_array_equal(params[n].data, before[n])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_adam_refuses_a_non_finite_gradient_and_changes_nothing(rng, bad):
+    params = _toy_params(rng)
+    opt = Adam(params, lr=1e-2)
+    opt.step()  # so that m, v and t are not at their initial values
+    params["p0"].grad[1, 2] = bad
+    def state():
+        return {n: p.data for n, p in params.items()}, opt.m, opt.v
+
+    before = [{n: a.copy() for n, a in d.items()} for d in state()]
+    with pytest.raises(NumericsError, match="gradient norm is (nan|inf)"):
+        opt.step()
+    for was, now in zip(before, state()):
+        for n in was:
+            assert was[n].tobytes() == now[n].tobytes(), n
+    assert opt.t == 1
 
 
 def test_one_adam_step_descends_the_batch_loss(rng):
@@ -375,6 +394,89 @@ def test_train_aborts_on_nan_with_coordinates(tiny_corpus, tmp_path):
               tmp_path / "nan.ckpt")
 
 
+def _nan_weight(monkeypatch, model):
+    model.parameters["audio_mlp.fc1.w"].data[0, 0] = np.nan
+
+
+def _inf_loss_from_step_5(monkeypatch, model):
+    calls = []
+
+    def loss_times_inf(probs, labels, loss_cfg):
+        calls.append(None)
+        loss = compute_loss(probs, labels, loss_cfg)
+        return loss * np.float32(np.inf) if len(calls) >= 5 else loss
+
+    monkeypatch.setattr(training, "compute_loss", loss_times_inf)
+
+
+def _relu_with_inf_gradient(monkeypatch, model):
+    def relu(a):
+        def backward(g):
+            autodiff._accum(a, np.full_like(a.data, np.inf), fresh=True)
+
+        return Tensor.from_op(np.maximum(a.data, 0), (a,), backward, "relu")
+
+    monkeypatch.setattr(model_module, "relu", relu)
+
+
+@pytest.mark.parametrize("fault,where", [
+    (_nan_weight, "epoch 0, batch 0: non-finite values produced by op 'matmul'"),
+    (_inf_loss_from_step_5, "epoch 1, batch 1: non-finite values produced by op 'mul'"),
+    (_relu_with_inf_gradient, "epoch 0, batch 0: non-finite values produced by op 'backward'"),
+], ids=["nan_weight", "inf_loss", "inf_backward_rule"])
+def test_a_failed_step_replays_to_the_error_of_per_op_checks(tiny_corpus, tmp_path,
+                                                            monkeypatch, fault, where):
+    """Deferred checks name the same op, epoch and batch as checking every op does,
+    and the replay draws the failed step's dropout masks again."""
+    train_set, dev_set = tiny_corpus  # 96 utterances: 3 steps per epoch at batch 32
+    forward = Model.forward
+
+    def failure(run):
+        model = Model(tiny_model_config(dropout=0.2))
+        states = []
+
+        def forward_noting_the_rng(self, batch, train=False, rng=None, trace=None):
+            if train:
+                states.append(rng.bit_generator.state["state"]["state"])
+            return forward(self, batch, train=train, rng=rng, trace=trace)
+
+        with monkeypatch.context() as mp:
+            fault(mp, model)
+            mp.setattr(Model, "forward", forward_noting_the_rng)
+            with pytest.raises(NumericsError) as err:
+                train(model, train_set, dev_set, tiny_train_config(), tmp_path / f"{run}.ckpt")
+        # the replay starts from the failed step's state; every other step from its own
+        assert states[-1] == states[-2] and len(set(states)) == len(states) - 1
+        return str(err.value)
+
+    deferred = failure("deferred")
+    assert autodiff._per_op_checks.get()
+    with pytest.raises(NumericsError, match="op 'log'"), np.errstate(divide="ignore"):
+        log(Tensor(np.zeros(2), requires_grad=True))  # checks at once again
+    monkeypatch.setattr(autodiff, "_unchecked", contextlib.nullcontext)
+    per_op = failure("per_op")
+    assert deferred == per_op == f"training aborted at {where}"
+
+
+def test_a_step_whose_replay_passes_still_raises_with_coordinates(tiny_corpus, tmp_path,
+                                                                 monkeypatch):
+    train_set, dev_set = tiny_corpus
+    step = training.Adam.step
+    calls = []
+
+    def step_failing_once_at_step_2(self):
+        calls.append(None)
+        if len(calls) == 2:
+            raise NumericsError("gradient norm is inf")
+        step(self)
+
+    monkeypatch.setattr(training.Adam, "step", step_failing_once_at_step_2)
+    with pytest.raises(NumericsError) as err:
+        train(Model(tiny_model_config()), train_set, dev_set, tiny_train_config(),
+              tmp_path / "x.ckpt")
+    assert str(err.value) == "training aborted at epoch 0, batch 1: gradient norm is inf"
+
+
 def test_train_validates_inputs(tiny_corpus, tmp_path):
     train_set, dev_set = tiny_corpus
     model = Model(tiny_model_config())
@@ -425,6 +527,18 @@ def test_evaluate_bundle_matches_records_recomputed(tiny_corpus):
                                [r.predicted for r in records], 8)
     assert again == bundle
     assert all(r.model_tag == "check" for r in records)
+
+
+def test_evaluate_names_the_op_that_made_a_nan(tiny_corpus, monkeypatch):
+    _, dev_set = tiny_corpus
+    model = Model(tiny_model_config())
+    model.parameters["text_mlp.fc2.b"].data[3] = np.nan
+    with pytest.raises(NumericsError) as deferred:
+        evaluate(model, dev_set)
+    monkeypatch.setattr(autodiff, "_unchecked", contextlib.nullcontext)
+    with pytest.raises(NumericsError) as per_op:
+        evaluate(model, dev_set)
+    assert str(deferred.value) == str(per_op.value) == "non-finite values produced by op 'add'"
 
 
 def test_training_learns_a_separable_corpus(tmp_path):

@@ -16,10 +16,10 @@ from .autodiff import (
 from .data import (
     Batch,
     DEFAULT_CLASS_NAMES,
-    DatasetSpec,
     ManifestEntry,
     SyntheticSpec,
     Utterance,
+    count_table,
     generate_synthetic,
     load_manifest,
     load_utterances,

@@ -22,6 +22,7 @@ from .data import (
     DEFAULT_CLASS_NAMES,
     SyntheticSpec,
     _atomic_write_bytes,
+    count_table,
     generate_synthetic,
     load_manifest,
     load_utterances,
@@ -98,21 +99,21 @@ def cmd_gen_data(args) -> int:
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
     sources = [s.strip() for s in args.sources.split(",") if s.strip()]
+    if not sources:
+        raise UsageError("--sources names no audio source")
     unknown = [s for s in sources if s not in AUDIO_SOURCES]
     if unknown:
         raise ValueError(f"unknown audio sources {unknown}; known: {sorted(AUDIO_SOURCES)}")
     out_root = Path(args.out)
-    table = None
     for source in sources:
         src = AUDIO_SOURCES[source]
         src_spec = replace(spec, audio_variant=src["variant"], audio_dim=src["dim"])
         generated = generate_synthetic(src_spec, args.n_train, args.n_dev,
                                        out_root / source)
-        if table is None:
-            table = generated.dataset_spec().table()
         print(f"wrote {source}: {generated.train.manifest_path} "
               f"({args.n_train} train / {args.n_dev} dev, audio dim {src['dim']})")
-    print(table)
+    # every source has the same labels, so the last one's counts stand for all
+    print(count_table(generated.train.counts, generated.dev.counts))
     return 0
 
 

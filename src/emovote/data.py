@@ -19,11 +19,13 @@ fusing both modalities measurably beats either one alone.
 
 from __future__ import annotations
 
+import json
 import os
 import struct
 import tempfile
+import typing
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -46,12 +48,59 @@ def _proportions(counts) -> tuple[float, ...]:
     return tuple((arr / arr.sum()).tolist())
 
 
-def check_counts(cfg, *names):
-    """Refuse a non-integer (or bool) count that the range checks let through."""
-    for name in names:
-        value = getattr(cfg, name)
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise TypeError(f"{name} must be an integer, got {value!r}")
+# Removed config fields that older files still carry, per config class:
+# field -> (the only value that loads, why no other value can)
+_LEGACY_FIELDS = {
+    "ModelConfig": {"n_heads": (1, "attention is single-head"),
+                    "positional_encoding": (False, "the encoders use no position table"),
+                    "unimodal_branches": (True, "early_plus_late always has unimodal heads")},
+    "ExperimentConfig": {"n_classes": (len(DEFAULT_CLASS_NAMES), "manifests hold 8 classes")},
+    "SyntheticSpec": {"class_names": (DEFAULT_CLASS_NAMES, "manifests use the default names")},
+}
+
+# annotation -> (the value types it accepts, its name in errors); a bool is never one
+_TYPES = {int: ((int, np.integer), "an integer"),
+          float: ((int, float, np.integer), "a number"), str: (str, "a string")}
+
+
+def _check_value(name: str, value, kind):
+    if typing.get_origin(kind) is tuple:
+        if not isinstance(value, tuple):
+            raise TypeError(f"{name} must be a list (a tuple in code), got {value!r}")
+        for i, item in enumerate(value):
+            _check_value(f"{name}[{i}]", item, typing.get_args(kind)[0])
+    else:
+        accepts, noun = _TYPES.get(kind, (kind, f"a {kind.__name__}"))
+        if isinstance(value, bool) or not isinstance(value, accepts):
+            raise TypeError(f"{name} must be {noun}, got {value!r}")
+
+
+def check_fields(cfg):
+    """Refuse a config field whose value does not have its annotated type."""
+    for name, kind in typing.get_type_hints(type(cfg)).items():
+        _check_value(name, getattr(cfg, name), kind)
+
+
+def _from_file(value, kind):
+    """A file's value as a ``kind`` field takes it: a list as a tuple, an int as a float."""
+    if typing.get_origin(kind) is tuple and isinstance(value, list):
+        item = typing.get_args(kind)[0]
+        return tuple(item.from_dict(v) if is_dataclass(item) else v for v in value)
+    return float(value) if kind is float and type(value) is int else value
+
+
+def config_from_dict(cls, d: dict, noun: str):
+    """Build config class ``cls`` from a file's mapping; ``noun`` names it in errors."""
+    d = dict(d)
+    for key, (value, reason) in _LEGACY_FIELDS.get(cls.__name__, {}).items():
+        # compared as JSON, so that true is not 1 and a list equals a tuple
+        if key in d and json.dumps(d.pop(key), default=repr) != json.dumps(value):
+            raise ValueError(f"{key} must be {json.dumps(value)} ({reason})")
+    unknown = set(d) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown {noun} fields: {sorted(unknown)}")
+    types = typing.get_type_hints(cls)
+    return cls(**{key: _from_file(value, types[key]) for key, value in d.items()})
 
 
 def _child_rng(seed: int, *keys) -> np.random.Generator:
@@ -80,6 +129,8 @@ def read_features(path) -> np.ndarray:
     raw = Path(path).read_bytes()
     if raw[:4] != MAGIC:
         raise ValueError(f"{path}: not a feature file (bad magic {raw[:4]!r})")
+    if len(raw) < 16:
+        raise ValueError(f"{path}: truncated feature file ({len(raw)} bytes, header is 16)")
     version, t, d = struct.unpack("<III", raw[4:16])
     if version != FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported feature format version {version}")
@@ -147,26 +198,26 @@ class ManifestEntry:
         )
 
 
-def write_manifest(path, entries, class_names=DEFAULT_CLASS_NAMES):
+def write_manifest(path, entries):
     """Write entries as a TSV manifest; feature paths are stored relative."""
     path = Path(path)
     base = path.parent.resolve()
     lines = ["# id\tlabel\taudio\ttext"]
     for e in entries:
-        label = class_names[e.label] if e.label is not None else "-"
+        label = DEFAULT_CLASS_NAMES[e.label] if e.label is not None else "-"
         audio_rel = os.path.relpath(Path(e.audio_path).resolve(), base)
         text_rel = os.path.relpath(Path(e.text_path).resolve(), base)
         lines.append(f"{e.utt_id}\t{label}\t{audio_rel}\t{text_rel}")
     _atomic_write_bytes(path, ("\n".join(lines) + "\n").encode())
 
 
-def load_manifest(path, class_names=DEFAULT_CLASS_NAMES) -> list[ManifestEntry]:
+def load_manifest(path) -> list[ManifestEntry]:
     """Parse a manifest into utterance references, validating labels and files."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"manifest not found: {path}")
     base = path.parent
-    name_to_idx = {name: i for i, name in enumerate(class_names)}
+    name_to_idx = {name: i for i, name in enumerate(DEFAULT_CLASS_NAMES)}
     dirs: dict[Path, Path] = {}
 
     def resolve(rel: str) -> Path:
@@ -199,7 +250,7 @@ def load_manifest(path, class_names=DEFAULT_CLASS_NAMES) -> list[ManifestEntry]:
             label = name_to_idx[label_str]
         else:
             raise ValueError(f"{path}:{lineno}: unknown label {label_str!r} "
-                             f"(known: {', '.join(class_names)})")
+                             f"(known: {', '.join(DEFAULT_CLASS_NAMES)})")
         audio_path, text_path = resolve(audio_rel), resolve(text_rel)
         for p in (audio_path, text_path):
             if not p.exists():
@@ -235,26 +286,14 @@ def count_labels(items, n_classes: int) -> np.ndarray:
     return np.bincount(np.asarray(labels, dtype=np.int64), minlength=n_classes)
 
 
-@dataclass(frozen=True)
-class DatasetSpec:
-    """Class inventory and per-split counts, as recovered from manifests."""
-
-    class_names: tuple[str, ...]
-    train_counts: tuple[int, ...]
-    dev_counts: tuple[int, ...]
-
-    @property
-    def n_classes(self) -> int:
-        return len(self.class_names)
-
-    def table(self) -> str:
-        """Class-distribution table: one row per class plus a total row."""
-        width = max(len(n) for n in self.class_names + ("Class", "Total"))
-        lines = [f"{'Class':<{width}}  {'# Training Samples':>18}  {'# Dev Samples':>13}"]
-        for name, tr, dv in zip(self.class_names, self.train_counts, self.dev_counts):
-            lines.append(f"{name:<{width}}  {tr:>18}  {dv:>13}")
-        lines.append(f"{'Total':<{width}}  {sum(self.train_counts):>18}  {sum(self.dev_counts):>13}")
-        return "\n".join(lines)
+def count_table(train_counts, dev_counts) -> str:
+    """Class-distribution table: one row per class plus a total row."""
+    width = max(len(n) for n in DEFAULT_CLASS_NAMES + ("Class", "Total"))
+    lines = [f"{'Class':<{width}}  {'# Training Samples':>18}  {'# Dev Samples':>13}"]
+    for name, tr, dv in zip(DEFAULT_CLASS_NAMES, train_counts, dev_counts):
+        lines.append(f"{name:<{width}}  {tr:>18}  {dv:>13}")
+    lines.append(f"{'Total':<{width}}  {sum(train_counts):>18}  {sum(dev_counts):>13}")
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +375,6 @@ class SyntheticSpec:
     noise), standing in for different upstream audio feature extractors.
     """
 
-    class_names: tuple[str, ...] = DEFAULT_CLASS_NAMES
     train_proportions: tuple[float, ...] = field(
         default_factory=lambda: _proportions(DEFAULT_TRAIN_COUNTS))
     dev_proportions: tuple[float, ...] = field(
@@ -351,7 +389,8 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        c = len(self.class_names)
+        check_fields(self)
+        c = len(DEFAULT_CLASS_NAMES)
         for name, props in (("train", self.train_proportions), ("dev", self.dev_proportions)):
             if len(props) != c:
                 raise ValueError(f"{name}_proportions must have {c} entries")
@@ -369,23 +408,10 @@ class SyntheticSpec:
             raise ValueError("feature dims must be >= 1")
         if self.seed < 0 or self.audio_variant < 0:
             raise ValueError("seed and audio_variant must be >= 0")
-        check_counts(self, "seed", "audio_dim", "text_dim", "min_len", "max_len",
-                     "audio_variant")
 
     @classmethod
     def from_dict(cls, d: dict) -> "SyntheticSpec":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown synthetic-spec fields: {sorted(unknown)}")
-        kwargs = dict(d)
-        for key in ("class_names", "train_proportions", "dev_proportions"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        return cls(**kwargs)
-
-    def with_audio_variant(self, variant: int) -> "SyntheticSpec":
-        return replace(self, audio_variant=variant)
+        return config_from_dict(cls, d, "synthetic-spec")
 
 
 def allocate_counts(n: int, proportions, min_per_class: int = 1) -> np.ndarray:
@@ -411,7 +437,7 @@ def allocate_counts(n: int, proportions, min_per_class: int = 1) -> np.ndarray:
 
 def _class_means(spec: SyntheticSpec) -> tuple[np.ndarray, np.ndarray]:
     """Per-class mean vectors for (audio, text), complementarity applied."""
-    c = len(spec.class_names)
+    c = len(DEFAULT_CLASS_NAMES)
     audio_rng = _child_rng(spec.seed, "means-audio", spec.audio_variant)
     text_rng = _child_rng(spec.seed, "means-text")
 
@@ -440,12 +466,6 @@ class GeneratedSplit:
 class GeneratedDataset:
     train: GeneratedSplit
     dev: GeneratedSplit
-    spec: SyntheticSpec
-
-    def dataset_spec(self) -> DatasetSpec:
-        return DatasetSpec(class_names=self.spec.class_names,
-                           train_counts=self.train.counts,
-                           dev_counts=self.dev.counts)
 
 
 def generate_synthetic(spec: SyntheticSpec, n_train: int, n_dev: int, out_dir) -> GeneratedDataset:
@@ -481,7 +501,7 @@ def generate_synthetic(spec: SyntheticSpec, n_train: int, n_dev: int, out_dir) -
             entries.append(ManifestEntry(utt_id=utt_id, label=int(label),
                                          audio_path=audio_path, text_path=text_path))
         manifest_path = out_dir / f"{split}.tsv"
-        write_manifest(manifest_path, entries, class_names=spec.class_names)
+        write_manifest(manifest_path, entries)
         splits[split] = GeneratedSplit(manifest_path=manifest_path,
                                        counts=tuple(int(x) for x in counts))
-    return GeneratedDataset(train=splits["train"], dev=splits["dev"], spec=spec)
+    return GeneratedDataset(train=splits["train"], dev=splits["dev"])

@@ -19,13 +19,16 @@ feature extractors.
 from __future__ import annotations
 
 import json
+import re
 import zlib
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .data import (
+    DEFAULT_CLASS_NAMES,
     SyntheticSpec,
-    check_counts,
+    check_fields,
+    config_from_dict,
     count_labels,
     load_manifest,
     load_utterances,
@@ -61,6 +64,7 @@ class ModelSpec:
     fusion: str = "early"
 
     def __post_init__(self):
+        check_fields(self)
         if self.loss_kind not in ("ce", "focal"):
             raise ValueError(f"{self.tag}: unknown loss kind {self.loss_kind!r}")
         if self.weight_scheme not in ("uniform", "prior"):
@@ -84,10 +88,8 @@ class ModelSpec:
         if unknown:
             raise ValueError(f"{d['tag']}: unknown model-spec keys {sorted(unknown)} "
                              f"(known: {list(_SPEC_KEYS)})")
-        kwargs = {_SPEC_KEYS[key]: value for key, value in d.items()}
-        if "gamma" in kwargs:
-            kwargs["gamma"] = float(kwargs["gamma"])
-        return cls(**kwargs)
+        return config_from_dict(cls, {_SPEC_KEYS[key]: value for key, value in d.items()},
+                                "model-spec")
 
 
 def default_models() -> tuple[ModelSpec, ...]:
@@ -111,7 +113,6 @@ class ExperimentConfig:
     out_dir: str = "runs"
     hidden: int = 512
     n_transformer_layers: int = 2
-    n_classes: int = 8
     lmf_rank: int = 4
     batch_size: int = 128
     initial_lr: float = 1e-4
@@ -121,6 +122,7 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_fields(self)
         tags = [m.tag for m in self.models]
         if len(tags) != len(set(tags)):
             dupes = sorted({t for t in tags if tags.count(t) > 1})
@@ -130,14 +132,13 @@ class ExperimentConfig:
         # checked by the configs they are forwarded to (dims, fusion, seed: placeholders)
         self.model_config(audio_dim=1, text_dim=1, fusion="early", seed=0)
         self.train_config(LossConfig(), seed=0)
-        check_counts(self, "seed")
 
     def model_config(self, audio_dim: int, text_dim: int, fusion: str,
                      seed: int) -> ModelConfig:
         return ModelConfig(audio_dim=audio_dim, text_dim=text_dim, hidden=self.hidden,
                            n_transformer_layers=self.n_transformer_layers,
-                           n_classes=self.n_classes, fusion=fusion, lmf_rank=self.lmf_rank,
-                           seed=seed)
+                           n_classes=len(DEFAULT_CLASS_NAMES), fusion=fusion,
+                           lmf_rank=self.lmf_rank, seed=seed)
 
     def train_config(self, loss: LossConfig, seed: int) -> TrainConfig:
         return TrainConfig(batch_size=self.batch_size, initial_lr=self.initial_lr,
@@ -160,39 +161,29 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown experiment-config fields: {sorted(unknown)}")
-        kwargs = dict(d)
-        if "models" in kwargs:
-            kwargs["models"] = tuple(ModelSpec.from_dict(m) for m in kwargs["models"])
-        for f in ("initial_lr", "scheduler_factor"):
-            if f in kwargs:
-                kwargs[f] = float(kwargs[f])
-        return cls(**kwargs)
+        return config_from_dict(cls, d, "experiment-config")
 
 
-def _read_mapping(path, what: str) -> dict:
-    """Read a YAML or JSON file whose root must be a mapping; ``what`` names it in errors."""
+# a YAML 1.2 float without a dot, such as 1e-3, which PyYAML's YAML 1.1 rules read as a string
+_EXPONENT_FLOAT = re.compile(r"^[-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)[eE][-+]?[0-9]+$")
+
+
+def _load(path, what: str, from_dict):
+    """Build a config from a YAML or JSON mapping file; every error names the file."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"{what} file not found: {path}")
     text = path.read_text()
     import yaml
+    loader = type("Loader", (yaml.SafeLoader,), {})
+    loader.add_implicit_resolver("tag:yaml.org,2002:float", _EXPONENT_FLOAT, list("-+.0123456789"))
     try:
-        raw = json.loads(text) if path.suffix == ".json" else yaml.safe_load(text)
+        raw = json.loads(text) if path.suffix == ".json" else yaml.load(text, loader)
     except (json.JSONDecodeError, yaml.YAMLError) as e:
         kind = "JSON" if path.suffix == ".json" else "YAML"
         raise ValueError(f"{path}: not valid {kind}: {e}") from e
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: {what} root must be a mapping")
-    return raw
-
-
-def _load(path, what: str, from_dict):
-    """Build a config from a YAML or JSON file; a bad value's error names the file."""
-    raw = _read_mapping(path, what)
     try:
         return from_dict(raw)
     except (TypeError, ValueError, KeyError) as e:
@@ -242,9 +233,9 @@ def run_model(cfg: ExperimentConfig, spec: ModelSpec, data_dir=None, out_dir=Non
     dev_set = load_utterances(dev_entries)
 
     if spec.weight_scheme == "prior":
-        weights = prior_weights(count_labels(train_entries, cfg.n_classes))
+        weights = prior_weights(count_labels(train_entries, len(DEFAULT_CLASS_NAMES)))
     else:
-        weights = uniform_weights(cfg.n_classes)
+        weights = uniform_weights(len(DEFAULT_CLASS_NAMES))
     loss = LossConfig(kind=spec.loss_kind, gamma=spec.gamma, class_weights=weights)
 
     mseed = model_seed(base_seed, spec.tag)

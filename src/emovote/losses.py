@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor, clamp_min, gather_rows, log, mul, neg, pow_const, tmean
+from .data import check_fields
 
 PROB_EPS = 1e-7
 
@@ -46,6 +47,7 @@ class LossConfig:
     class_weights: tuple[float, ...] = uniform_weights(8)
 
     def __post_init__(self):
+        check_fields(self)
         if self.kind not in ("ce", "focal"):
             raise ValueError(f"unknown loss kind {self.kind!r}")
         if self.gamma < 0:

@@ -46,19 +46,12 @@ from .autodiff import (
     transpose_last,
     tsum,
 )
-from .data import Batch, _atomic_write_bytes, check_counts
+from .data import Batch, _atomic_write_bytes, check_fields, config_from_dict
 
 MAGIC = b"IMBF"
 CHECKPOINT_VERSION = 1
 
 FUSION_KINDS = ("early", "late", "early_plus_late", "tensor", "low_rank_tensor")
-
-# Removed fields that older v1 checkpoint headers carry: (name, the only value
-# any checkpoint stored, why no other value can load)
-_LEGACY_FIELDS = (("n_heads", 1, "attention is single-head"),
-                  ("positional_encoding", False, "the encoders use no position table"),
-                  ("unimodal_branches", True, "early_plus_late always has unimodal heads"))
-
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -75,6 +68,7 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_fields(self)
         if self.hidden <= 0:
             raise ValueError("hidden must be > 0")
         if self.n_classes < 2:
@@ -89,23 +83,13 @@ class ModelConfig:
             raise ValueError("lmf_rank must be >= 1")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
-        check_counts(self, "audio_dim", "text_dim", "hidden", "n_transformer_layers",
-                     "n_classes", "lmf_rank", "seed")
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        d = dict(d)
-        for key, value, reason in _LEGACY_FIELDS:
-            if d.pop(key, value) != value:
-                raise ValueError(f"{key} must be {json.dumps(value)} ({reason})")
-        known = {f.name for f in fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown model-config fields: {sorted(unknown)}")
-        return cls(**d)
+        return config_from_dict(cls, d, "model-config")
 
 
 def _param_rng(seed: int, name: str) -> np.random.Generator:
@@ -422,35 +406,36 @@ def load_checkpoint(path) -> Model:
     raw = Path(path).read_bytes()
     if raw[:4] != MAGIC:
         raise ValueError(f"{path}: not a model checkpoint (bad magic {raw[:4]!r})")
-    version, cfg_len = struct.unpack("<II", raw[4:12])
+    off = 4
+
+    def take(n: int) -> memoryview:
+        nonlocal off
+        if off + n > len(raw):
+            raise ValueError(f"{path}: truncated checkpoint ({len(raw)} bytes)")
+        off += n
+        return memoryview(raw)[off - n:off]
+
+    version, cfg_len = struct.unpack("<II", take(8))
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    off = 12
     try:
-        cfg_dict = json.loads(raw[off:off + cfg_len].decode())
+        cfg_dict = json.loads(bytes(take(cfg_len)).decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ValueError(f"{path}: not a model checkpoint (config header unreadable)") from e
     try:
         config = ModelConfig.from_dict(cfg_dict)
     except (TypeError, ValueError) as e:
         raise ValueError(f"{path}: bad checkpoint config: {e}") from e
-    off += cfg_len
-    (n_tensors,) = struct.unpack_from("<I", raw, off)
-    off += 4
+    (n_tensors,) = struct.unpack("<I", take(4))
     model = Model(config)
     seen = set()
     for _ in range(n_tensors):
-        (name_len,) = struct.unpack_from("<I", raw, off)
-        off += 4
-        name = raw[off:off + name_len].decode()
-        off += name_len
-        (rank,) = struct.unpack_from("<I", raw, off)
-        off += 4
-        shape = struct.unpack_from(f"<{rank}I", raw, off)
-        off += 4 * rank
+        (name_len,) = struct.unpack("<I", take(4))
+        name = bytes(take(name_len)).decode(errors="replace")
+        (rank,) = struct.unpack("<I", take(4))
+        shape = struct.unpack(f"<{rank}I", take(4 * rank))
         count = int(np.prod(shape, dtype=np.int64)) if rank else 1
-        data = np.frombuffer(raw, dtype="<f4", count=count, offset=off).reshape(shape).copy()
-        off += 4 * count
+        data = np.frombuffer(take(4 * count), dtype="<f4").reshape(shape).copy()
         if name not in model.parameters:
             raise ValueError(f"{path}: checkpoint tensor {name!r} not in model built "
                              f"from its own config")

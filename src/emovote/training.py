@@ -22,7 +22,7 @@ import numpy as np
 
 from . import autodiff, kernels
 from .autodiff import NumericsError, Tensor
-from .data import Utterance, _atomic_write_bytes, check_counts, make_batches
+from .data import Utterance, _atomic_write_bytes, check_fields, make_batches
 from .ensemble import PredictionRecord
 from .losses import LossConfig, compute_loss
 from .metrics import MetricBundle, bundle_from_labels
@@ -38,11 +38,11 @@ class SchedulerConfig:
     patience: int = 1
 
     def __post_init__(self):
+        check_fields(self)
         if not 0.0 < self.factor < 1.0:
             raise ValueError("scheduler factor must be in (0, 1)")
         if self.patience < 1:
             raise ValueError("scheduler patience must be >= 1")
-        check_counts(self, "patience")
 
 
 @dataclass(frozen=True)
@@ -56,6 +56,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_fields(self)
         # lr == 0 is allowed as a diagnostic no-op optimizer
         if self.initial_lr < 0:
             raise ValueError("initial_lr must be >= 0")
@@ -65,7 +66,6 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.clip_norm <= 0:
             raise ValueError("clip_norm must be > 0")
-        check_counts(self, "batch_size", "max_epochs", "seed")
 
 
 class PlateauScheduler:

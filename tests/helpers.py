@@ -1,6 +1,9 @@
-"""Shared test utilities: batch builders, float64 conversion for grad checks and a
-row splitter that records how each kernel call was split."""
+"""Shared test utilities: batch builders, float64 conversion for grad checks, a
+row splitter that records how each kernel call was split and a checkpoint
+config-header rewriter."""
 
+import json
+import struct
 from contextlib import contextmanager
 
 import numpy as np
@@ -113,3 +116,14 @@ def row_splitter(workers):
     finally:
         kernels.splitter = previous
         recorder.close()
+
+
+def rewrite_config_header(path, **extra):
+    """Re-serialize the checkpoint's JSON config header with extra keys, as an
+    older writer with more config fields would have emitted it."""
+    raw = path.read_bytes()
+    version, cfg_len = struct.unpack("<II", raw[4:12])
+    cfg = {**json.loads(raw[12:12 + cfg_len]), **extra}
+    blob = json.dumps(cfg, sort_keys=True).encode()
+    path.write_bytes(raw[:4] + struct.pack("<II", version, len(blob)) + blob
+                     + raw[12 + cfg_len:])

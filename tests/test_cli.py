@@ -9,15 +9,15 @@ import pytest
 
 from emovote import autodiff, data, experiment, training
 from emovote.cli import main
-from emovote.data import (SyntheticSpec, generate_synthetic, load_manifest, load_utterances,
-                          read_features)
+from emovote.data import (DEFAULT_CLASS_NAMES, SyntheticSpec, generate_synthetic,
+                          load_manifest, load_utterances, read_features)
 from emovote.ensemble import read_records, write_records
 from emovote.experiment import (AUDIO_SOURCES, ExperimentConfig, ModelSpec,
                                 default_models, load_experiment_config,
                                 load_synthetic_spec, model_seed, run_model)
 from emovote.metrics import bleu, corpus_wer, gleu, tokenize
-from emovote.model import load_checkpoint
-from helpers import row_splitter
+from emovote.model import ModelConfig, load_checkpoint
+from helpers import rewrite_config_header, row_splitter
 
 
 SPEC_JSON = {
@@ -140,6 +140,14 @@ def test_gen_data_unknown_source_fails(tmp_path, spec_file, capsys):
     assert "banana" in capsys.readouterr().err
 
 
+def test_gen_data_empty_source_list_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["gen-data", "--out", str(tmp_path / "d"), "--sources", ","])
+    assert e.value.code == 2
+    assert "--sources names no audio source" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+
+
 # ---------------------------------------------------------------------------
 # train
 # ---------------------------------------------------------------------------
@@ -193,7 +201,8 @@ def test_train_single_tag_reproduces_the_run(tmp_path, cli_data_dir, config_file
     assert new["best_epoch"] == old["best_epoch"]
 
 
-@pytest.mark.parametrize("bad,reason", [({"hidden": "abc"}, "not supported"),
+@pytest.mark.parametrize("bad,reason", [({"hidden": "abc"},
+                                         "hidden must be an integer, got 'abc'"),
                                         ({"batch_size": 0}, "batch_size must be >= 1"),
                                         ({"scheduler_factor": 2.0}, "scheduler factor"),
                                         ({"hidden": 8.5}, "hidden must be an integer"),
@@ -254,6 +263,101 @@ def test_gen_data_bad_spec_count_fails_naming_the_file(tmp_path, capsys, bad, re
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: ") and reason in err
     assert not (tmp_path / "d").exists()
+
+
+# (command, values written over the file it reads, why they are refused)
+_REFUSED_AT_LOAD = [
+    ("train", {"initial_lr": True}, "initial_lr must be a number, got True"),
+    ("train", {"scheduler_factor": "0.5"}, "scheduler_factor must be a number, got '0.5'"),
+    ("train", {"data_dir": 5}, "data_dir must be a string, got 5"),
+    ("train", {"n_classes": 4}, "n_classes must be 8"),
+    ("train", {"models": [{"tag": "m", "loss": "focal", "gamma": True}]},
+     "gamma must be a number, got True"),
+    ("train", {"models": [{"tag": "m", "loss": "focal", "gamma": "2"}]},
+     "gamma must be a number, got '2'"),
+    ("train", {"models": [{"tag": 5}]}, "tag must be a string, got 5"),
+    ("gen-data", {"separability": True}, "separability must be a number, got True"),
+    ("gen-data", {"class_names": list("ABCDEFGH")}, 'class_names must be ["Neutral", '),
+    ("gen-data", {"class_names": "ABCDEFGH"}, 'class_names must be ["Neutral", '),
+    ("gen-data", {"train_proportions": [True] + [False] * 7},
+     "train_proportions[0] must be a number, got True"),
+    ("eval", {"n_heads": True}, "n_heads must be 1"),
+    ("eval", {"dropout": False}, "dropout must be a number, got False"),
+]
+
+
+@pytest.mark.parametrize("command,bad,reason", _REFUSED_AT_LOAD,
+                         ids=[f"{c}-{r.split()[0]}-{i}"
+                              for i, (c, _, r) in enumerate(_REFUSED_AT_LOAD)])
+def test_bad_value_is_refused_at_load_naming_the_file(trained_runs, cli_data_dir, tmp_path,
+                                                      monkeypatch, capsys, command, bad,
+                                                      reason):
+    if command == "eval":
+        path = tmp_path / "checkpoint.bin"
+        path.write_bytes((trained_runs / "model1" / "checkpoint.bin").read_bytes())
+        rewrite_config_header(path, **bad)
+        argv = ["eval", "--checkpoint", str(path),
+                "--manifest", str(cli_data_dir / "whisper" / "dev.tsv")]
+    else:
+        path = tmp_path / "file.json"
+        path.write_text(json.dumps({**(CONFIG_JSON if command == "train" else SPEC_JSON),
+                                    **bad}))
+        argv = (["train", "--config", str(path), "--all", "--data", str(cli_data_dir)]
+                if command == "train" else ["gen-data", "--spec", str(path)])
+        argv += ["--out", str(tmp_path / "out")]
+
+    def no_read(p):
+        raise AssertionError(f"feature file {p} opened before {path} was checked")
+
+    monkeypatch.setattr(data, "read_features", no_read)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and reason in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_files_holding_the_removed_class_keys_at_their_defaults_still_load(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**CONFIG_JSON, "n_classes": 8}))
+    assert load_experiment_config(path) == ExperimentConfig.from_dict(CONFIG_JSON)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({**SPEC_JSON, "class_names": list(DEFAULT_CLASS_NAMES)}))
+    assert load_synthetic_spec(path) == SyntheticSpec.from_dict(SPEC_JSON)
+
+
+@pytest.mark.parametrize("cfg", [
+    ExperimentConfig(models=(ModelSpec("a", "focal", 2.5, "prior", "wavlm", "tensor"),),
+                     hidden=16, initial_lr=3e-4, scheduler_factor=0.25, seed=4),
+    ModelSpec("m", "focal", 3.0, "prior", "hubert", "late"),
+    ModelConfig(audio_dim=3, text_dim=4, hidden=6, fusion="low_rank_tensor", lmf_rank=3,
+                dropout=0.1, seed=2),
+], ids=["experiment", "model_spec", "model_config"])
+def test_config_from_dict_inverts_to_dict(cfg):
+    assert type(cfg).from_dict(cfg.to_dict()) == cfg
+    assert type(cfg).from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+
+@pytest.mark.parametrize("what,cut", [("feature file", 10), ("checkpoint", 6),
+                                      ("checkpoint", 300), ("checkpoint", -3)],
+                         ids=["features_10", "checkpoint_6", "checkpoint_300",
+                              "checkpoint_size_minus_3"])
+def test_eval_refuses_a_truncated_file_naming_it(trained_runs, cli_data_dir, tmp_path, capsys,
+                                                 what, cut):
+    checkpoint = trained_runs / "model1" / "checkpoint.bin"
+    manifest = cli_data_dir / "whisper" / "dev.tsv"
+    if what == "feature file":
+        manifest = tmp_path / "dev.tsv"
+        entries = _manifest_copy(cli_data_dir / "whisper" / "dev.tsv", manifest)
+        path = tmp_path / "cut.audio.bin"
+        path.write_bytes(entries[3].audio_path.read_bytes()[:cut])
+        manifest.write_text(manifest.read_text().replace(str(entries[3].audio_path), str(path)))
+    else:
+        path = tmp_path / "cut.bin"
+        path.write_bytes(checkpoint.read_bytes()[:cut])
+        checkpoint = path
+    code = main(["eval", "--checkpoint", str(checkpoint), "--manifest", str(manifest)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: truncated {what} ")
 
 
 def test_train_unknown_tag_fails(cli_data_dir, config_file, tmp_path, capsys):
@@ -656,6 +760,10 @@ def test_experiment_config_yaml(tmp_path):
     assert cfg.models[0].gamma == 2.0
     with pytest.raises(FileNotFoundError):
         load_experiment_config(tmp_path / "none.yaml")
+    # a quoted number is a string, refused like the same value in JSON
+    path.write_text('initial_lr: "1e-3"\n')
+    with pytest.raises(ValueError, match="initial_lr must be a number, got '1e-3'"):
+        load_experiment_config(path)
 
 
 def test_synthetic_spec_file_loading(tmp_path, spec_file):

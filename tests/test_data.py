@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from emovote.data import (DEFAULT_CLASS_NAMES, DEFAULT_DEV_COUNTS,
-                          DEFAULT_TRAIN_COUNTS, DatasetSpec, ManifestEntry,
+                          DEFAULT_TRAIN_COUNTS, ManifestEntry,
                           SyntheticSpec, Utterance, _class_means,
-                          _proportions, allocate_counts, count_labels,
+                          _proportions, allocate_counts, count_labels, count_table,
                           generate_synthetic, load_manifest, load_utterances,
                           make_batches, read_features, write_features,
                           write_manifest)
@@ -264,10 +264,7 @@ def test_count_labels_and_table():
     with pytest.raises(ValueError, match="unlabeled"):
         count_labels([Item(0), Item(None)], n_classes=8)
 
-    spec = DatasetSpec(class_names=DEFAULT_CLASS_NAMES,
-                       train_counts=DEFAULT_TRAIN_COUNTS,
-                       dev_counts=DEFAULT_DEV_COUNTS)
-    table = spec.table()
+    table = count_table(DEFAULT_TRAIN_COUNTS, DEFAULT_DEV_COUNTS)
     lines = table.splitlines()
     assert len(lines) == 1 + 8 + 1  # header, one per class, total
     assert lines[1].split() == ["Neutral", "25016", "5667"]
@@ -429,24 +426,18 @@ def test_synthetic_spec_validation():
 
 
 def test_synthetic_spec_from_dict():
-    spec = SyntheticSpec.from_dict({"audio_dim": 12, "separability": 2.0,
-                                    "class_names": ["A", "B"],
-                                    "train_proportions": [0.5, 0.5],
-                                    "dev_proportions": [0.25, 0.75]})
+    spec = SyntheticSpec.from_dict({"audio_dim": 12, "separability": 2,
+                                    "class_names": list(DEFAULT_CLASS_NAMES),
+                                    "train_proportions": [0.5, 0.5] + [0] * 6,
+                                    "dev_proportions": [0.25, 0.75] + [0] * 6})
     assert spec.audio_dim == 12
-    assert spec.class_names == ("A", "B")
+    assert spec.separability == 2.0 and isinstance(spec.separability, float)
+    assert spec.train_proportions == (0.5, 0.5, 0, 0, 0, 0, 0, 0)
     with pytest.raises(ValueError, match="unknown synthetic-spec fields"):
         SyntheticSpec.from_dict({"audio_dims": 12})
     # a spec survives the dict round trip
     again = SyntheticSpec.from_dict(dataclasses.asdict(spec))
     assert again == spec
-
-
-def test_with_audio_variant_changes_only_the_variant():
-    spec = SyntheticSpec(seed=3)
-    other = spec.with_audio_variant(2)
-    assert other.audio_variant == 2
-    assert dataclasses.replace(other, audio_variant=0) == spec
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +476,7 @@ def test_class_means_complementarity_splits_modalities():
 def test_class_means_audio_variant_changes_audio_only():
     spec = SyntheticSpec(seed=4)
     a0, t0 = _class_means(spec)
-    a1, t1 = _class_means(spec.with_audio_variant(1))
+    a1, t1 = _class_means(dataclasses.replace(spec, audio_variant=1))
     np.testing.assert_array_equal(t0, t1)
     assert not np.array_equal(a0, a1)
 
@@ -515,15 +506,15 @@ def test_generate_synthetic_counts_match_allocation(tmp_path):
     gen = generate_synthetic(spec, n_train=40, n_dev=16, out_dir=tmp_path)
     expected = allocate_counts(40, spec.train_proportions)
     np.testing.assert_array_equal(gen.train.counts, expected)
-    entries = load_manifest(gen.train.manifest_path, spec.class_names)
+    entries = load_manifest(gen.train.manifest_path)
     np.testing.assert_array_equal(count_labels(entries, 8), expected)
-    dev_entries = load_manifest(gen.dev.manifest_path, spec.class_names)
+    dev_entries = load_manifest(gen.dev.manifest_path)
     np.testing.assert_array_equal(
         count_labels(dev_entries, 8), allocate_counts(16, spec.dev_proportions))
 
 
 def test_generate_synthetic_lengths_respect_bounds(tiny_corpus_dir, tiny_spec):
-    entries = load_manifest(tiny_corpus_dir / "train.tsv", tiny_spec.class_names)
+    entries = load_manifest(tiny_corpus_dir / "train.tsv")
     for utt in load_utterances(entries[:20]):
         assert tiny_spec.min_len <= utt.audio.shape[0] <= tiny_spec.max_len
         assert tiny_spec.min_len <= utt.text.shape[0] <= tiny_spec.max_len
@@ -535,9 +526,10 @@ def test_generate_synthetic_variants_align(tmp_path):
     """Labels and text are variant-independent, so variant runs can ensemble."""
     base = SyntheticSpec(audio_dim=6, text_dim=5, min_len=2, max_len=6, seed=23)
     g0 = generate_synthetic(base, 24, 16, tmp_path / "v0")
-    g1 = generate_synthetic(base.with_audio_variant(1), 24, 16, tmp_path / "v1")
-    e0 = load_manifest(g0.dev.manifest_path, base.class_names)
-    e1 = load_manifest(g1.dev.manifest_path, base.class_names)
+    g1 = generate_synthetic(dataclasses.replace(base, audio_variant=1), 24, 16,
+                            tmp_path / "v1")
+    e0 = load_manifest(g0.dev.manifest_path)
+    e1 = load_manifest(g1.dev.manifest_path)
     assert [e.utt_id for e in e0] == [e.utt_id for e in e1]
     assert [e.label for e in e0] == [e.label for e in e1]
     audio_same = []
@@ -561,8 +553,8 @@ def test_generate_synthetic_separable_corpus_is_centroid_classifiable(tmp_path):
         labels = np.array([u.label for u in utts])
         return feats, labels
 
-    train_x, train_y = pooled(load_manifest(gen.train.manifest_path, spec.class_names))
-    dev_x, dev_y = pooled(load_manifest(gen.dev.manifest_path, spec.class_names))
+    train_x, train_y = pooled(load_manifest(gen.train.manifest_path))
+    dev_x, dev_y = pooled(load_manifest(gen.dev.manifest_path))
     centroids = np.stack([train_x[train_y == c].mean(axis=0) for c in range(8)])
     pred = np.argmin(((dev_x[:, None, :] - centroids[None]) ** 2).sum(-1), axis=1)
     assert (pred == dev_y).mean() > 0.95

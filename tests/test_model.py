@@ -1,6 +1,5 @@
 """Model architecture: config, fusion operations, forward semantics, checkpoints."""
 
-import json
 import struct
 
 import numpy as np
@@ -10,7 +9,7 @@ from emovote.autodiff import ShapeError, Tensor, grad_check, tsum
 from emovote.model import (FUSION_KINDS, Model, ModelConfig, ParamStore,
                            fuse_early, fuse_late, fuse_low_rank, fuse_tensor,
                            load_checkpoint, save_checkpoint)
-from helpers import leaf, make_batch, repad_batch, take_rows
+from helpers import leaf, make_batch, repad_batch, rewrite_config_header, take_rows
 
 
 def small_config(**overrides):
@@ -438,6 +437,17 @@ def test_checkpoint_rejects_garbled_config(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_rejects_a_garbled_tensor_name_naming_the_file(tmp_path):
+    path = _saved_checkpoint(tmp_path)
+    raw = bytearray(path.read_bytes())
+    (cfg_len,) = struct.unpack("<I", raw[8:12])
+    raw[12 + cfg_len + 4 + 4] = 0xFF  # first byte of the first tensor's name
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="not in model built from its own config") as err:
+        load_checkpoint(path)
+    assert str(err.value).startswith(f"{path}: ")
+
+
 def test_checkpoint_rejects_shape_mismatch(tmp_path):
     path = _saved_checkpoint(tmp_path)
     raw = path.read_bytes()
@@ -448,17 +458,6 @@ def test_checkpoint_rejects_shape_mismatch(tmp_path):
         load_checkpoint(path)
 
 
-def _rewrite_config_header(path, **extra):
-    """Re-serialize the checkpoint's JSON config header with extra keys, as an
-    older writer with more config fields would have emitted it."""
-    raw = path.read_bytes()
-    version, cfg_len = struct.unpack("<II", raw[4:12])
-    cfg = {**json.loads(raw[12:12 + cfg_len]), **extra}
-    blob = json.dumps(cfg, sort_keys=True).encode()
-    path.write_bytes(raw[:4] + struct.pack("<II", version, len(blob)) + blob
-                     + raw[12 + cfg_len:])
-
-
 def test_v1_checkpoint_with_single_head_key_loads_bitwise(rng, tmp_path):
     model = Model(small_config(fusion="late", seed=5))
     for t in model.parameters.values():
@@ -466,7 +465,7 @@ def test_v1_checkpoint_with_single_head_key_loads_bitwise(rng, tmp_path):
     path = tmp_path / "old.ckpt"
     save_checkpoint(path, model)
     # the removed fields, at the only values any checkpoint stored
-    _rewrite_config_header(path, n_heads=1, positional_encoding=False, unimodal_branches=True)
+    rewrite_config_header(path, n_heads=1, positional_encoding=False, unimodal_branches=True)
     for key in (b'"n_heads": 1', b'"positional_encoding": false', b'"unimodal_branches": true'):
         assert key in path.read_bytes()
     back = load_checkpoint(path)
@@ -479,14 +478,15 @@ def test_v1_checkpoint_with_single_head_key_loads_bitwise(rng, tmp_path):
 
 
 @pytest.mark.parametrize("bad,reason", [({"n_heads": 2}, "n_heads must be 1"),
-                                        ({"audio_dim": None}, "not supported"),
+                                        ({"audio_dim": None},
+                                         "audio_dim must be an integer, got None"),
                                         ({"positional_encoding": True},
                                          "positional_encoding must be false"),
                                         ({"unimodal_branches": False},
                                          "unimodal_branches must be true")])
 def test_checkpoint_with_bad_config_is_refused_naming_the_file(tmp_path, bad, reason):
     path = _saved_checkpoint(tmp_path)
-    _rewrite_config_header(path, **bad)
+    rewrite_config_header(path, **bad)
     with pytest.raises(ValueError, match=reason) as err:
         load_checkpoint(path)
     assert str(path) in str(err.value)

@@ -20,7 +20,9 @@ fusing both modalities measurably beats either one alone.
 from __future__ import annotations
 
 import json
+import math
 import os
+import stat
 import struct
 import tempfile
 import typing
@@ -73,20 +75,40 @@ def _check_value(name: str, value, kind):
         accepts, noun = _TYPES.get(kind, (kind, f"a {kind.__name__}"))
         if isinstance(value, bool) or not isinstance(value, accepts):
             raise TypeError(f"{name} must be {noun}, got {value!r}")
+        # NaN passes every range check and inf most; neither is a usable setting
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 def check_fields(cfg):
-    """Refuse a config field whose value does not have its annotated type."""
+    """Refuse a config field whose value does not have its annotated type, and a
+    float field that is not finite."""
     for name, kind in typing.get_type_hints(type(cfg)).items():
         _check_value(name, getattr(cfg, name), kind)
 
 
-def _from_file(value, kind):
-    """A file's value as a ``kind`` field takes it: a list as a tuple, an int as a float."""
+def _from_file(name: str, value, kind):
+    """A file's value as field ``name`` of type ``kind`` takes it: a list as a
+    tuple, an int as a float. An entry that builds a config is named in errors by
+    its index and, when it has one, its tag."""
     if typing.get_origin(kind) is tuple and isinstance(value, list):
         item = typing.get_args(kind)[0]
-        return tuple(item.from_dict(v) if is_dataclass(item) else v for v in value)
+        if not is_dataclass(item):
+            return tuple(value)
+        return tuple(_entry_from_dict(f"{name}[{i}]", item, v) for i, v in enumerate(value))
     return float(value) if kind is float and type(value) is int else value
+
+
+def _entry_from_dict(where: str, cls, d):
+    try:
+        return cls.from_dict(d)
+    except (TypeError, ValueError) as e:
+        tag = d.get("tag") if isinstance(d, dict) else None
+        msg = str(e)
+        if isinstance(tag, str):
+            where = f"{where} ({tag})"
+            msg = msg.removeprefix(f"{tag}: ")  # the entry's own checks lead with its tag
+        raise type(e)(f"{where}: {msg}") from e
 
 
 def config_from_dict(cls, d: dict, noun: str):
@@ -100,7 +122,7 @@ def config_from_dict(cls, d: dict, noun: str):
     if unknown:
         raise ValueError(f"unknown {noun} fields: {sorted(unknown)}")
     types = typing.get_type_hints(cls)
-    return cls(**{key: _from_file(value, types[key]) for key, value in d.items()})
+    return cls(**{key: _from_file(key, value, types[key]) for key, value in d.items()})
 
 
 def _child_rng(seed: int, *keys) -> np.random.Generator:
@@ -218,17 +240,25 @@ def load_manifest(path) -> list[ManifestEntry]:
         raise FileNotFoundError(f"manifest not found: {path}")
     base = path.parent
     name_to_idx = {name: i for i, name in enumerate(DEFAULT_CLASS_NAMES)}
-    dirs: dict[Path, Path] = {}
+    dirs: dict[str, Path] = {}
 
-    def resolve(rel: str) -> Path:
-        # Path.resolve() of base/rel, resolving each distinct directory once and
-        # following the file itself only when it is a symlink
-        p = base / rel
-        parent = dirs.get(p.parent)
+    def resolve(rel: str, lineno: int) -> Path:
+        # Path.resolve() of base/rel: each distinct directory string is resolved
+        # once, and one lstat per file tells a missing file, a plain one and a
+        # symlink, which alone is followed
+        head, _, name = rel.rpartition("/")
+        parent = dirs.get(head)
         if parent is None:
-            parent = dirs[p.parent] = p.parent.resolve()
-        p = parent / p.name
-        return p.resolve() if p.is_symlink() else p
+            parent = dirs[head] = (base / head).resolve()
+        p = parent / name
+        try:
+            if stat.S_ISLNK(os.lstat(p).st_mode):
+                p = p.resolve()
+                os.stat(p)  # a dangling link fails here, naming its target
+            return p
+        except (FileNotFoundError, NotADirectoryError):
+            raise FileNotFoundError(
+                f"{path}:{lineno}: referenced feature file missing: {p}") from None
 
     entries: list[ManifestEntry] = []
     first_line: dict[str, int] = {}
@@ -251,12 +281,9 @@ def load_manifest(path) -> list[ManifestEntry]:
         else:
             raise ValueError(f"{path}:{lineno}: unknown label {label_str!r} "
                              f"(known: {', '.join(DEFAULT_CLASS_NAMES)})")
-        audio_path, text_path = resolve(audio_rel), resolve(text_rel)
-        for p in (audio_path, text_path):
-            if not p.exists():
-                raise FileNotFoundError(f"{path}:{lineno}: referenced feature file missing: {p}")
         entries.append(ManifestEntry(utt_id=utt_id, label=label,
-                                     audio_path=audio_path, text_path=text_path))
+                                     audio_path=resolve(audio_rel, lineno),
+                                     text_path=resolve(text_rel, lineno)))
     return entries
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,21 +30,36 @@ class PredictionRecord:
     predicted: int
 
     def __post_init__(self):
-        if len(self.probs) < 2:
+        probs = self.probs
+        if len(probs) < 2:
             raise ValueError("probability vector needs >= 2 classes")
-        if self.predicted != int(np.argmax(self.probs)):
+        if self.predicted != _argmax(probs):
             raise ValueError(f"{self.utt_id}: predicted label {self.predicted} is not the "
                              f"argmax of the probability vector")
-        total = float(sum(self.probs))
-        if not 0.999 <= total <= 1.001 or any(p < 0 for p in self.probs):
+        total = float(sum(probs))
+        if not 0.999 <= total <= 1.001 or min(probs) < 0:
             raise ValueError(f"{self.utt_id}: probabilities are not a distribution "
                              f"(sum {total:.6f})")
 
     @classmethod
     def from_probs(cls, utt_id: str, model_tag: str, probs) -> "PredictionRecord":
-        probs = tuple(float(p) for p in np.asarray(probs).ravel())
-        return cls(utt_id=utt_id, model_tag=model_tag, probs=probs,
-                   predicted=int(np.argmax(probs)))
+        probs = tuple(np.asarray(probs, np.float64).ravel().tolist())
+        return cls(utt_id=utt_id, model_tag=model_tag, probs=probs, predicted=_argmax(probs))
+
+
+def _argmax(values: tuple) -> int:
+    """``int(np.argmax(values))``, without numpy when every value is a Python float.
+
+    numpy takes the first NaN if there is one, else the first maximum. A sum of
+    floats is NaN when any of them is, so a sum that is not NaN leaves the first
+    maximum. Other value types, and NaN sums (a NaN, or inf beside -inf), go to
+    numpy, which keeps its conversions and its error texts.
+    """
+    if list(map(type, values)).count(float) == len(values):
+        total = sum(values)
+        if total == total:
+            return values.index(max(values))
+    return int(np.argmax(values))
 
 
 @dataclass(frozen=True)
@@ -86,37 +100,34 @@ def _check_alignment(per_model: list[list[PredictionRecord]], caller: str):
     return n_classes
 
 
-def _summed_probs(records: list[PredictionRecord]) -> np.ndarray:
-    # fsum is exactly rounded, so the summed mass cannot depend on the order
-    # the models are listed in
-    return np.array([math.fsum(r.probs[c] for r in records)
-                     for c in range(len(records[0].probs))])
-
+# Class masses are summed with fsum, which is exactly rounded, so they cannot
+# depend on the order the models are listed in.
 
 def _pick_majority(records, tally) -> tuple[int, bool]:
     top = max(tally)
+    if tally.count(top) == 1:
+        return tally.index(top), False
+    # the leader with the most summed mass, the first (lowest class index) among equals
     leaders = [c for c, n in enumerate(tally) if n == top]
-    if len(leaders) == 1:
-        return leaders[0], False
-    # argmax over leaders only; np.argmax takes the first (lowest class index) on ties
-    summed = _summed_probs(records)
-    return leaders[int(np.argmax(summed[leaders]))], True
+    mass = [math.fsum(r.probs[c] for r in records) for c in leaders]
+    return leaders[mass.index(max(mass))], True
 
 
 def _pick_average(records, tally) -> tuple[int, bool]:
-    return int(np.argmax(_summed_probs(records) / len(records))), False
+    mass = np.array([math.fsum(r.probs[c] for r in records) for c in range(len(tally))])
+    return int(np.argmax(mass / len(records))), False
 
 
 def _vote(per_model: list[list[PredictionRecord]], pick, rule: str,
           caller: str) -> list[VoteOutcome]:
     """One outcome per utterance, in the first model's record order."""
-    n_classes = _check_alignment(per_model, caller)
+    classes = range(_check_alignment(per_model, caller))
     by_id = [{r.utt_id: r for r in recs} for recs in per_model]
     outcomes = []
     for first in per_model[0]:
         records = [m[first.utt_id] for m in by_id]
-        counts = Counter(r.predicted for r in records)
-        tally = tuple(counts.get(c, 0) for c in range(n_classes))
+        votes = [r.predicted for r in records]
+        tally = tuple(map(votes.count, classes))
         label, tie = pick(records, tally)
         outcomes.append(VoteOutcome(utt_id=first.utt_id, label=label, tally=tally,
                                     tie_broken=tie, rule=rule))
@@ -192,6 +203,21 @@ def write_records(path, records: list[PredictionRecord]):
     _atomic_write_bytes(path, ("\n".join(lines) + "\n").encode())
 
 
+_scan_json = json.JSONDecoder().scan_once
+
+
+def _loads(line: str):
+    """``json.loads(line)``, calling its scanner directly when the line is one bare
+    value. An error inside a value comes from that same scanner; any other line
+    (leading or trailing whitespace, a BOM, extra data, no value) goes to
+    ``json.loads``, which accepts it or raises its own error."""
+    try:
+        value, end = _scan_json(line, 0)
+    except StopIteration:
+        end = -1
+    return value if end == len(line) else json.loads(line)
+
+
 def read_records(path) -> list[PredictionRecord]:
     records = []
     first_line: dict[str, int] = {}
@@ -199,13 +225,12 @@ def read_records(path) -> list[PredictionRecord]:
         if not line.strip():
             continue
         try:
-            d = json.loads(line)
+            d = _loads(line)
             if not isinstance(d, dict):
                 raise ValueError(f"not a JSON object: {line.strip()[:60]}")
             if not isinstance(d["probs"], list):
                 raise ValueError(f"probs must be a list, got {d['probs']!r}")
-            record = PredictionRecord(utt_id=d["id"], model_tag=d["model"],
-                                      probs=tuple(d["probs"]), predicted=d["pred"])
+            record = PredictionRecord(d["id"], d["model"], tuple(d["probs"]), d["pred"])
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
             raise ValueError(f"{path}:{lineno}: bad prediction record: {e}") from e
         if record.utt_id in first_line:

@@ -101,3 +101,29 @@ def oracle_gleu(refs, hyps, min_n=1, max_n=4):
         hyp_total += sum(hc.values())
         ref_total += sum(rc.values())
     return min(matched / hyp_total, matched / ref_total)
+
+
+def oracle_majority_vote(per_model):
+    """(utt_id, label, tally, tie_broken) per utterance of the first model, by the
+    ensemble rule: the most votes; among tied classes, the most probability mass
+    summed over all models (math.fsum over every class); then the lowest class."""
+    n_classes = len(per_model[0][0].probs)
+    outcomes = []
+    for first in per_model[0]:
+        records = []
+        for recs in per_model:
+            for r in recs:
+                if r.utt_id == first.utt_id:
+                    records.append(r)
+        tally = [0] * n_classes
+        for r in records:
+            tally[r.predicted] += 1
+        mass = [math.fsum(r.probs[c] for r in records) for c in range(n_classes)]
+        top = max(tally)
+        label = None
+        for c in range(n_classes):
+            if tally[c] == top and (label is None or mass[c] > mass[label]):
+                label = c
+        tied = sum(1 for n in tally if n == top) > 1
+        outcomes.append((first.utt_id, label, tuple(tally), tied))
+    return outcomes

@@ -2,6 +2,7 @@
 
 import contextlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -240,6 +241,25 @@ def test_config_syntax_error_fails_naming_the_file(tmp_path, capsys, name, text,
     assert capsys.readouterr().err.startswith(f"error: {path}: not valid {kind}: ")
 
 
+@pytest.mark.parametrize("command,text,reason", [
+    ("train", "initial_lr: .inf\n", "initial_lr must be a finite number, got inf"),
+    ("train", "models:\n  - tag: m\n    loss: focal\n    gamma: .nan\n",
+     "models[0] (m): gamma must be a finite number, got nan"),
+    ("gen-data", "complementarity: .nan\n", "complementarity must be a finite number, got nan"),
+    ("gen-data", "separability: -.inf\n", "separability must be a finite number, got -inf"),
+], ids=["lr_inf", "gamma_nan", "complementarity_nan", "separability_inf"])
+def test_yaml_non_finite_value_fails_naming_the_file(tmp_path, capsys, command, text, reason):
+    path = tmp_path / "bad.yaml"
+    path.write_text(text)
+    flag = "--config" if command == "train" else "--spec"
+    argv = [command, flag, str(path), "--out", str(tmp_path / "out")]
+    assert main(argv + (["--all"] if command == "train" else [])) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and reason in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_gen_data_bad_spec_value_fails_naming_the_file(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({**SPEC_JSON, "separability": "high"}))
@@ -272,10 +292,19 @@ _REFUSED_AT_LOAD = [
     ("train", {"data_dir": 5}, "data_dir must be a string, got 5"),
     ("train", {"n_classes": 4}, "n_classes must be 8"),
     ("train", {"models": [{"tag": "m", "loss": "focal", "gamma": True}]},
-     "gamma must be a number, got True"),
-    ("train", {"models": [{"tag": "m", "loss": "focal", "gamma": "2"}]},
-     "gamma must be a number, got '2'"),
-    ("train", {"models": [{"tag": 5}]}, "tag must be a string, got 5"),
+     "models[0] (m): gamma must be a number, got True"),
+    ("train", {"models": [{"tag": "a"}, {"tag": "b", "loss": "focal", "gamma": "2"}]},
+     "models[1] (b): gamma must be a number, got '2'"),
+    ("train", {"models": [{"tag": "a"}, {"tag": "b", "loss": "hinge"}]},
+     "models[1] (b): unknown loss kind 'hinge'"),
+    ("train", {"models": [{"tag": 5}]}, "models[0]: tag must be a string, got 5"),
+    # json.dumps writes these as Infinity and NaN, which Python's JSON reader takes
+    ("train", {"initial_lr": math.inf}, "initial_lr must be a finite number, got inf"),
+    ("train", {"models": [{"tag": "m", "loss": "focal", "gamma": math.nan}]},
+     "models[0] (m): gamma must be a finite number, got nan"),
+    ("gen-data", {"separability": -math.inf}, "separability must be a finite number, got -inf"),
+    ("gen-data", {"train_proportions": [math.nan] + [0.125] * 7},
+     "train_proportions[0] must be a finite number, got nan"),
     ("gen-data", {"separability": True}, "separability must be a number, got True"),
     ("gen-data", {"class_names": list("ABCDEFGH")}, 'class_names must be ["Neutral", '),
     ("gen-data", {"class_names": "ABCDEFGH"}, 'class_names must be ["Neutral", '),

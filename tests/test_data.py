@@ -235,6 +235,53 @@ def test_manifest_resolves_symlinked_feature_dirs_and_files(rng, tmp_path):
         load_manifest(manifest)
 
 
+# (manifest line 2, after a good line 1, and its error's type and text after
+# "<manifest>:2: "; {real} is the resolved feature directory the corpus links to)
+_BAD_MANIFEST_LINES = {
+    "missing_file": ("u9\tHappy\tfeats/u0.audio.bin\tfeats/nope.bin",
+                     FileNotFoundError, "referenced feature file missing: {real}/nope.bin"),
+    "missing_audio_and_text": ("u9\tHappy\tnope.audio.bin\tnope.text.bin", FileNotFoundError,
+                               "referenced feature file missing: {corpus}/nope.audio.bin"),
+    "dangling_symlink": ("u9\tHappy\tfeats/u0.audio.bin\tdangling.bin", FileNotFoundError,
+                         "referenced feature file missing: {real}/gone.bin"),
+    "symlinked_directory": ("u9\tHappy\tfeats/u9.audio.bin\tfeats/u0.text.bin",
+                            FileNotFoundError,
+                            "referenced feature file missing: {real}/u9.audio.bin"),
+    "dangling_directory": ("u9\tHappy\tnodir/u0.audio.bin\tfeats/u0.text.bin",
+                           FileNotFoundError,
+                           "referenced feature file missing: {root}/nodir/u0.audio.bin"),
+    "file_as_directory": ("u9\tHappy\tfeats/u0.audio.bin/x\tfeats/u0.text.bin",
+                          FileNotFoundError,
+                          "referenced feature file missing: {real}/u0.audio.bin/x"),
+    "unknown_label": ("u9\tBored\tfeats/u0.audio.bin\tfeats/u0.text.bin", ValueError,
+                      "unknown label 'Bored' (known: Neutral, Happy, Angry, Sad, Disgust, "
+                      "Contempt, Surprise, Fear)"),
+    "repeated_id": ("u0\tHappy\tfeats/u0.audio.bin\tfeats/u0.text.bin", ValueError,
+                    "repeated id 'u0' (first on line 1)"),
+    "three_fields": ("u9\tNeutral\tfeats/u0.audio.bin", ValueError,
+                     "expected 4 tab-separated fields, got 3"),
+}
+
+
+@pytest.mark.parametrize("case", _BAD_MANIFEST_LINES)
+def test_manifest_error_texts(rng, tmp_path, case):
+    line, kind, reason = _BAD_MANIFEST_LINES[case]
+    _write_corpus(tmp_path / "real", rng, [0])
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    os.symlink(tmp_path / "real" / "feats", corpus / "feats")
+    os.symlink(tmp_path / "real" / "feats" / "gone.bin", corpus / "dangling.bin")
+    os.symlink(tmp_path / "nodir", corpus / "nodir")
+    manifest = corpus / "split.tsv"
+    manifest.write_text(f"u0\tNeutral\tfeats/u0.audio.bin\tfeats/u0.text.bin\n{line}\n")
+    with pytest.raises(kind) as err:
+        load_manifest(manifest)
+    root = tmp_path.resolve()
+    want = reason.format(real=root / "real" / "feats", corpus=root / "corpus", root=root)
+    assert type(err.value) is kind
+    assert str(err.value) == f"{manifest}:2: {want}"
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_load_utterances_rejects_non_finite_features_naming_the_file(tiny_spec, tmp_path,
                                                                     value):

@@ -1,6 +1,8 @@
 """Majority voting: validation, tie-breaking, invariances, record files."""
 
 import itertools
+import json
+import math
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from emovote.ensemble import (GainReport, PredictionRecord, VoteOutcome,
                               ensemble_gain_report, majority_vote,
                               probability_average_vote, read_records,
                               tie_break_count, write_records)
+from oracles import oracle_majority_vote
 
 
 def rec(utt_id, model_tag, probs):
@@ -121,6 +124,20 @@ def test_tie_break_falls_back_to_lowest_class_index():
     assert outcome.label == 0  # equal 0.9 vs 0.9: lowest class index wins
 
 
+def test_tie_break_mass_is_exactly_rounded():
+    """Classes 0 and 1 hold the same values in other model orders, so their exact
+    masses are equal and class 0 wins; left-to-right float sums would give class 0
+    0.6 and class 1 0.6000000000000001."""
+    rest = [0.07] * 5
+    per_model = [[rec("u", "m0", [0.3, 0.1, 0.1] + [0.1] * 5)],
+                 [rec("u", "m1", [0.2, 0.2, 0.25] + rest)],
+                 [rec("u", "m2", [0.1, 0.3, 0.1] + [0.1] * 5)]]
+    assert (0.3 + 0.2) + 0.1 < (0.1 + 0.2) + 0.3
+    (outcome,) = majority_vote(per_model)
+    assert outcome.tally[:3] == (1, 1, 1) and outcome.tie_broken
+    assert outcome.label == 0
+
+
 def test_tie_break_only_considers_leading_classes():
     """A non-leading class with huge probability mass cannot steal the vote."""
     per_model = [
@@ -198,6 +215,69 @@ def test_odd_model_count_with_two_classes_never_tie_breaks():
                                n_classes=2) for m in range(5)]
     outcomes = majority_vote(per_model)
     assert tie_break_count(outcomes) == 0
+
+
+_DYADIC = (20, 12, 10, 8, 6, 4, 2, 2)  # sixty-fourths: sums to exactly 1
+
+
+def _dyadic(rng, label, equal_at=()):
+    """A permutation of _DYADIC / 64 with its maximum at ``label`` and its two equal
+    entries at the classes ``equal_at``, if given."""
+    probs = [None] * 8
+    probs[label] = 20
+    for c in equal_at:
+        probs[c] = 2
+    free = [c for c in range(8) if probs[c] is None]
+    rest = list(_DYADIC[1:len(_DYADIC) - len(equal_at)])
+    for c, v in zip(free, rng.permutation(rest)):
+        probs[c] = int(v)
+    return [v / 64 for v in probs]
+
+
+def _peaked(rng, label):
+    probs = rng.dirichlet(np.ones(8))
+    top = int(np.argmax(probs))
+    probs[[top, label]] = probs[[label, top]]
+    return probs
+
+
+def _utterance_votes(rng, kind):
+    """Seven probability vectors for one utterance, in a random model order."""
+    a, b, c, d, e = (int(x) for x in rng.choice(8, size=5, replace=False))
+    if kind == "random":
+        vectors = [rng.dirichlet(np.ones(8)) for _ in range(7)]
+    elif kind == "count_tie":  # a, b and c hold 2 votes each; unequal masses
+        vectors = [_peaked(rng, label) for label in (a, a, b, b, c, c, d)]
+    else:  # a and b tie on votes and on summed mass, exactly: b's vectors mirror a's
+        vectors = []
+        for label in (a, a, c):
+            v = _dyadic(rng, label)
+            vectors += [v, [v[b] if k == a else v[a] if k == b else v[k] for k in range(8)]]
+        vectors.append(_dyadic(rng, d, equal_at=(a, b)))
+    return [vectors[i] for i in rng.permutation(7)]
+
+
+def test_majority_vote_matches_the_brute_force_oracle():
+    rng = np.random.default_rng(29)
+    per_model = [[] for _ in range(7)]
+    for i, kind in enumerate(["random", "count_tie", "equal_mass"] * 40):
+        for m, probs in enumerate(_utterance_votes(rng, kind)):
+            per_model[m].append(rec(f"u{i}", f"m{m}", probs))
+    for recs in per_model[1:]:
+        rng.shuffle(recs)
+    got = [(o.utt_id, o.label, o.tally, o.tie_broken) for o in majority_vote(per_model)]
+    want = oracle_majority_vote(per_model)
+    assert got == want
+    tied = [w for w in want if w[3]]
+    assert len(tied) >= 80
+    # exact mass ties happened and went to the lower class
+    ties_on_mass = 0
+    for utt_id, label, tally, _ in tied:
+        recs = [r for m in per_model for r in m if r.utt_id == utt_id]
+        mass = {c: math.fsum(r.probs[c] for r in recs) for c in range(8)
+                if tally[c] == max(tally)}
+        ties_on_mass += len(mass) - len(set(mass.values()))
+    assert ties_on_mass >= 20
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +466,93 @@ def test_record_file_malformed_line_is_a_value_error_naming_the_line(tmp_path, l
         read_records(path)
 
 
+_RAGGED = [[0.5, 0.5], [1.0]]
+
+
+def _numpy_argmax_error(probs) -> str:
+    try:
+        np.argmax(tuple(probs))
+    except ValueError as e:
+        return str(e)
+    raise AssertionError(f"np.argmax took {probs!r}")
+
+
+# (line 2 of a file whose line 1 is a good record 'z', what the error says after
+# "<path>:2: "); the texts are those of the json.loads-per-line, numpy-argmax reader
+_BAD_RECORD_LINES = {
+    "not_json": ("{not json}", "bad prediction record: Expecting property name enclosed "
+                               "in double quotes: line 1 column 2 (char 1)"),
+    "json_array": ("[0.9, 0.1]", "bad prediction record: not a JSON object: [0.9, 0.1]"),
+    "two_values": ('{"id": "a"} {"id": "b"}',
+                   "bad prediction record: Extra data: line 1 column 13 (char 12)"),
+    "half_a_record": ('{"id": "a", "model": "m", "probs": [0.2,',
+                      "bad prediction record: Expecting value: line 1 column 41 (char 40)"),
+    "missing_pred": ('{"id": "a", "model": "m", "probs": [0.9, 0.1]}',
+                     "bad prediction record: 'pred'"),
+    "probs_string": ('{"id": "a", "model": "m", "probs": "ab", "pred": 0}',
+                     "bad prediction record: probs must be a list, got 'ab'"),
+    "probs_ragged": (json.dumps({"id": "a", "model": "m", "probs": _RAGGED, "pred": 0}),
+                     "bad prediction record: " + _numpy_argmax_error(_RAGGED)),
+    "probs_null": ('{"id": "a", "model": "m", "probs": [0.9, null], "pred": 0}',
+                   "bad prediction record: '>' not supported between instances of "
+                   "'NoneType' and 'float'"),
+    "one_class": ('{"id": "a", "model": "m", "probs": [1.0], "pred": 0}',
+                  "bad prediction record: probability vector needs >= 2 classes"),
+    "off_simplex": ('{"id": "a", "model": "m", "probs": [0.9, 0.4], "pred": 0}',
+                    "bad prediction record: a: probabilities are not a distribution "
+                    "(sum 1.300000)"),
+    "negative": ('{"id": "a", "model": "m", "probs": [1.2, -0.2], "pred": 0}',
+                 "bad prediction record: a: probabilities are not a distribution "
+                 "(sum 1.000000)"),
+    "wrong_argmax": ('{"id": "a", "model": "m", "probs": [0.2, 0.8], "pred": 0}',
+                     "bad prediction record: a: predicted label 0 is not the argmax of "
+                     "the probability vector"),
+    "wrong_argmax_on_a_tie": ('{"id": "a", "model": "m", "probs": [0.4, 0.4, 0.2], "pred": 1}',
+                              "bad prediction record: a: predicted label 1 is not the "
+                              "argmax of the probability vector"),
+    # the argmax of a vector holding NaN is its first NaN
+    "nan_predicted": ('{"id": "a", "model": "m", "probs": [0.5, NaN, 0.5], "pred": 1}',
+                      "bad prediction record: a: probabilities are not a distribution "
+                      "(sum nan)"),
+    "nan_not_predicted": ('{"id": "a", "model": "m", "probs": [NaN, 0.5], "pred": 1}',
+                          "bad prediction record: a: predicted label 1 is not the argmax "
+                          "of the probability vector"),
+    "inf_and_minus_inf": ('{"id": "a", "model": "m", "probs": [Infinity, -Infinity], '
+                          '"pred": 0}',
+                          "bad prediction record: a: probabilities are not a distribution "
+                          "(sum nan)"),
+    "repeated_id": ('{"id": "z", "model": "m", "probs": [0.2, 0.8], "pred": 1}',
+                    "repeated id 'z' (first on line 1)"),
+}
+
+
+@pytest.mark.parametrize("case", _BAD_RECORD_LINES)
+def test_record_file_error_texts(tmp_path, case):
+    line, reason = _BAD_RECORD_LINES[case]
+    path = tmp_path / "preds.jsonl"
+    path.write_text('{"id": "z", "model": "m", "probs": [0.9, 0.1], "pred": 0}\n'
+                    + line + "\n")
+    with pytest.raises(ValueError) as err:
+        read_records(path)
+    assert type(err.value) is ValueError
+    assert str(err.value) == f"{path}:2: {reason}"
+
+
+@pytest.mark.parametrize("line,probs", [
+    ('  {"id": "a", "model": "m", "probs": [0.2, 0.8], "pred": 1}  ', (0.2, 0.8)),
+    ('{"id": "a", "model": "m", "probs": [1, 0], "pred": 0}', (1, 0)),
+    ('{"id": "a", "model": "m", "probs": [-0.0, 0.0, 1.0], "pred": 2}', (-0.0, 0.0, 1.0)),
+], ids=["padded_line", "int_probs", "signed_zeros"])
+def test_record_file_accepts_what_json_loads_and_numpy_accept(tmp_path, line, probs):
+    path = tmp_path / "preds.jsonl"
+    path.write_text(line + "\n")
+    (record,) = read_records(path)
+    assert record.probs == probs and record.predicted == probs.index(max(probs))
+
+
 def test_record_file_rejects_empty(tmp_path):
     path = tmp_path / "empty.jsonl"
-    path.write_text("\n\n")
-    with pytest.raises(ValueError, match="no prediction records"):
+    path.write_text("\n  \n\t\n")
+    with pytest.raises(ValueError) as err:
         read_records(path)
+    assert str(err.value) == f"{path}: no prediction records"

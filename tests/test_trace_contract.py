@@ -2,12 +2,19 @@
 
 The tracer replaces module and class attributes by name and calls
 ``Model.forward`` with its keywords, so renaming one of them breaks traced
-benchmark runs. This runs one tiny member with the tracer installed.
+benchmark runs. These run one tiny member, and the benchmark's ensemble stage,
+with the tracer installed.
 """
 
-from emovote import data, experiment, model, training
+from types import SimpleNamespace
+
+import numpy as np
+
+from emovote import data, ensemble, experiment, model, training
 from emovote.experiment import ExperimentConfig, ModelSpec
+from perfbench import pipeline
 from perfbench.trace import Tracer
+from perfbench.workloads import WORKLOADS
 
 
 def test_tracer_spans_a_tiny_train_and_eval(tiny_spec, tmp_path):
@@ -36,3 +43,32 @@ def test_tracer_spans_a_tiny_train_and_eval(tiny_spec, tmp_path):
     # perfbench/report.py divides this count by the steps; each step checks its loss
     assert snap["counts"]["autodiff.step_finite_checks"] >= len(snap["step_ms"])
     assert not hasattr(model.Model.forward, "__wrapped__")
+
+
+def test_tracer_spans_the_ensemble_stage(tiny_spec, tmp_path):
+    data_dir = tmp_path / "data"
+    data.generate_synthetic(tiny_spec, n_train=16, n_dev=12, out_dir=data_dir / "whisper")
+    dev = data.load_manifest(data_dir / "whisper" / "dev.tsv")
+    rng = np.random.default_rng(0)
+    results = []
+    for m in range(3):
+        path = tmp_path / f"m{m}.jsonl"
+        ensemble.write_records(path, [
+            ensemble.PredictionRecord.from_probs(e.utt_id, f"m{m}", rng.dirichlet(np.ones(8)))
+            for e in dev])
+        results.append(SimpleNamespace(predictions_path=path))
+    w = WORKLOADS["ensemble_h32"]
+    assert w.sources[0] == "whisper"
+    tracer = Tracer()
+    tracer.install()
+    try:
+        outcomes, _ = pipeline.vote(w, data_dir, results, tmp_path / "ensemble")
+    finally:
+        tracer.uninstall()
+    assert len(outcomes) == 12
+    totals = tracer.snapshot()["totals"]
+    # a span per call of each function perfbench/trace.py wraps in this stage
+    for name, calls in (("ensemble.read_records", 3), ("ensemble.vote", 1),
+                        ("ensemble.report", 1), ("data.load_manifest", 1),
+                        ("metrics.bundle", 4)):
+        assert totals[name][0] == calls, name

@@ -303,6 +303,36 @@ def test_a_steps_graph_is_freed_before_the_dev_eval(tiny_corpus, tmp_path, monke
     assert alive_at_eval == [False, False]
 
 
+def test_a_steps_graph_is_freed_before_the_next_steps_backward(tiny_corpus, tmp_path,
+                                                               monkeypatch):
+    """Binding step i+1's loss frees step i's graph, by reference count alone,
+    before step i+1's backward allocates its gradients."""
+    train_set, dev_set = tiny_corpus  # 96 utterances: 3 steps per epoch at batch 32
+    step_loss, backward = training._step_loss, Tensor.backward
+    losses = []  # one weakref per step to its loss array; Tensor takes no weakref
+    alive_at_backward = []
+
+    def step_loss_keeping_a_weakref(*args):
+        loss = step_loss(*args)
+        losses.append(weakref.ref(loss.data))
+        return loss
+
+    def backward_noting_the_previous_loss(self):
+        if len(losses) > 1:
+            alive_at_backward.append(losses[-2]() is not None)
+        backward(self)
+
+    monkeypatch.setattr(training, "_step_loss", step_loss_keeping_a_weakref)
+    monkeypatch.setattr(Tensor, "backward", backward_noting_the_previous_loss)
+    gc.disable()
+    try:
+        train(Model(tiny_model_config()), train_set, dev_set, tiny_train_config(max_epochs=2),
+              tmp_path / "c.ckpt")
+    finally:
+        gc.enable()
+    assert alive_at_backward == [False] * 5
+
+
 def test_report_save_failure_keeps_previous_report(tmp_path, monkeypatch):
     report = TrainReport(train_loss=[1.5], dev_macro_f1=[0.2], dev_wa=[0.3], dev_ua=[0.4],
                          lr_trace=[1e-3], best_epoch=0, best_checkpoint="a.ckpt")

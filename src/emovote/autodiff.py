@@ -27,6 +27,7 @@ import numpy as np
 from . import kernels
 
 DEFAULT_DTYPE = np.float32
+LAYER_NORM_EPS = 1e-5
 
 
 class NumericsError(RuntimeError):
@@ -151,45 +152,6 @@ class Tensor:
         for node in reversed(topo):
             if node._backward_fn is not None:
                 node._backward_fn(node.grad)
-
-    # -- operator sugar ----------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other, self.dtype), self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(_as_tensor(other, self.dtype), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
 
 
 def _as_tensor(x, dtype) -> Tensor:
@@ -474,11 +436,8 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out_data = a.data.sum(axis=axis, keepdims=keepdims)
 
     def backward(g):
-        if axis is None:
-            _accum(a, np.broadcast_to(g, a.shape).astype(a.dtype, copy=False))
-        else:
-            gg = g if keepdims else np.expand_dims(g, axis)
-            _accum(a, np.broadcast_to(gg, a.shape).astype(a.dtype, copy=False))
+        gg = g if axis is None or keepdims else np.expand_dims(g, axis)
+        _accum(a, np.broadcast_to(gg, a.shape).astype(a.dtype, copy=False))
 
     return Tensor.from_op(np.asarray(out_data), (a,), backward, "sum")
 
@@ -489,11 +448,8 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
     def backward(g):
         scaled = g / a.dtype.type(count)
-        if axis is None:
-            _accum(a, np.broadcast_to(scaled, a.shape).astype(a.dtype, copy=False))
-        else:
-            gg = scaled if keepdims else np.expand_dims(scaled, axis)
-            _accum(a, np.broadcast_to(gg, a.shape).astype(a.dtype, copy=False))
+        gg = scaled if axis is None or keepdims else np.expand_dims(scaled, axis)
+        _accum(a, np.broadcast_to(gg, a.shape).astype(a.dtype, copy=False))
 
     return Tensor.from_op(np.asarray(out_data), (a,), backward, "mean")
 
@@ -503,28 +459,26 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """Softmax along ``axis``, max-subtracted; output rows lie on the simplex."""
-    ax = axis % a.ndim
-    moved = np.moveaxis(a.data, ax, -1)
-    flat = np.ascontiguousarray(moved.reshape(-1, moved.shape[-1]))
-    y2 = kernels.softmax_fwd(flat)
-    out_data = np.moveaxis(y2.reshape(moved.shape), -1, ax)
+    """Softmax over the last axis, max-subtracted; output rows lie on the simplex."""
+    if axis % a.ndim != a.ndim - 1:
+        raise ShapeError(f"softmax runs over the last axis only, got axis {axis} of {a.shape}")
+    c = a.shape[-1]
+    y2 = kernels.softmax_fwd(np.ascontiguousarray(a.data.reshape(-1, c)))
 
     def backward(g):
-        g2 = np.ascontiguousarray(np.moveaxis(g, ax, -1).reshape(y2.shape))
-        dx2 = kernels.softmax_bwd(y2, g2)
-        _accum(a, np.moveaxis(dx2.reshape(moved.shape), -1, ax), fresh=True)
+        dx2 = kernels.softmax_bwd(y2, np.ascontiguousarray(g.reshape(y2.shape)))
+        _accum(a, dx2.reshape(a.shape), fresh=True)
 
-    return Tensor.from_op(np.ascontiguousarray(out_data), (a,), backward, "softmax")
+    return Tensor.from_op(y2.reshape(a.shape), (a,), backward, "softmax")
 
 
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Layer normalization over the last axis with learned gain and bias."""
     d = a.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"layer_norm gain/bias must be shape ({d},), got {gain.shape}, {bias.shape}")
     flat = np.ascontiguousarray(a.data.reshape(-1, d))
-    y2, xhat, rstd = kernels.layernorm_fwd(flat, gain.data, bias.data, eps)
+    y2, xhat, rstd = kernels.layernorm_fwd(flat, gain.data, bias.data, LAYER_NORM_EPS)
     out_data = y2.reshape(a.shape)
 
     def backward(g):
@@ -538,25 +492,19 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
 
 def masked_mean_pool(x: Tensor, mask) -> Tensor:
-    """Mean over valid (mask == 1) time steps.
+    """Mean over valid (mask == 1) time steps of [B, T, d] input with a [B, T] mask.
 
-    x is [T, d] with a length-T mask, or [B, T, d] with a [B, T] mask. Values
-    at masked positions never reach the output; the backward pass spreads the
-    gradient equally over the valid positions of each sequence.
+    Values at masked positions never reach the output; the backward pass spreads
+    the gradient equally over the valid positions of each sequence.
     """
-    squeeze = x.ndim == 2
-    if squeeze:
-        x = reshape(x, (1,) + x.shape)
-    mask_arr = mask.data if isinstance(mask, Tensor) else np.asarray(mask)
-    mask_arr = mask_arr.astype(x.dtype).reshape(x.shape[0], x.shape[1])
+    if x.ndim != 3:
+        raise ShapeError(f"masked_mean_pool needs [B, T, d] input, got {x.shape}")
+    mask_arr = np.asarray(mask).astype(x.dtype).reshape(x.shape[:2])
     counts = mask_arr.sum(axis=1)
     if (counts == 0).any():
         raise EmptySequenceError("masked_mean_pool: a sequence has no valid positions")
     masked = mul(x, Tensor(mask_arr[:, :, None]))
-    pooled = div(tsum(masked, axis=1), Tensor(counts[:, None].astype(x.dtype)))
-    if squeeze:
-        pooled = reshape(pooled, (pooled.shape[1],))
-    return pooled
+    return div(tsum(masked, axis=1), Tensor(counts[:, None].astype(x.dtype)))
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:

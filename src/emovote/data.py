@@ -441,12 +441,12 @@ class SyntheticSpec:
         return config_from_dict(cls, d, "synthetic-spec")
 
 
-def allocate_counts(n: int, proportions, min_per_class: int = 1) -> np.ndarray:
+def allocate_counts(n: int, proportions) -> np.ndarray:
     """Largest-remainder rounding of n * proportions, forcing >= 1 per class."""
     props = np.asarray(proportions, dtype=np.float64)
     c = props.shape[0]
-    if n < c * min_per_class:
-        raise ValueError(f"need at least {c * min_per_class} samples for {c} classes")
+    if n < c:
+        raise ValueError(f"need at least {c} samples for {c} classes")
     exact = props * n
     counts = np.floor(exact).astype(np.int64)
     remainder = exact - counts
@@ -454,7 +454,7 @@ def allocate_counts(n: int, proportions, min_per_class: int = 1) -> np.ndarray:
     for idx in np.argsort(-remainder)[:short]:
         counts[idx] += 1
     # enforce the minimum by taking from the largest classes
-    while (counts < min_per_class).any():
+    while (counts < 1).any():
         needy = int(np.argmin(counts))
         donor = int(np.argmax(counts))
         counts[needy] += 1

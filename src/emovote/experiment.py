@@ -196,8 +196,16 @@ def load_experiment_config(path) -> ExperimentConfig:
 
 
 def load_synthetic_spec(path) -> SyntheticSpec:
-    """Read a YAML or JSON synthetic-spec file."""
-    return _load(path, "synthetic spec", SyntheticSpec.from_dict)
+    """Read a YAML or JSON synthetic-spec file for ``gen-data``, which takes each
+    source's audio_dim and audio_variant from AUDIO_SOURCES, so a file may set neither."""
+    def from_dict(d: dict) -> SyntheticSpec:
+        per_source = sorted({"audio_dim", "audio_variant"} & set(d))
+        if per_source:
+            raise ValueError(f"{per_source} cannot be set: each audio source sets its own "
+                             f"({AUDIO_SOURCES})")
+        return SyntheticSpec.from_dict(d)
+
+    return _load(path, "synthetic spec", from_dict)
 
 
 def model_seed(base_seed: int, tag: str) -> int:
@@ -222,21 +230,29 @@ def run_model(cfg: ExperimentConfig, spec: ModelSpec, data_dir=None, out_dir=Non
 
     Writes <out>/<tag>/checkpoint.bin, report.json, log.jsonl and
     predictions.jsonl (dev-set records of the best epoch, made during training).
+    A previous run's report.json and predictions.jsonl are deleted before training,
+    so a run that does not finish leaves no predictions its checkpoint did not make.
     """
     data_dir = Path(data_dir if data_dir is not None else cfg.data_dir)
     out_dir = Path(out_dir if out_dir is not None else cfg.out_dir)
     base_seed = cfg.seed if seed is None else seed
     source_dir = data_dir / spec.audio_source
-    train_entries = load_manifest(source_dir / "train.tsv")
+    train_path = source_dir / "train.tsv"
+    train_entries = load_manifest(train_path)
     dev_entries = load_manifest(source_dir / "dev.tsv")
-    train_set = load_utterances(train_entries)
-    dev_set = load_utterances(dev_entries)
 
     if spec.weight_scheme == "prior":
-        weights = prior_weights(count_labels(train_entries, len(DEFAULT_CLASS_NAMES)))
+        counts = count_labels(train_entries, len(DEFAULT_CLASS_NAMES))
+        absent = [name for name, n in zip(DEFAULT_CLASS_NAMES, counts) if n == 0]
+        if absent:
+            raise ValueError(f"{train_path}: {spec.tag} uses prior weights, undefined "
+                             f"without a {', '.join(absent)} utterance")
+        weights = prior_weights(counts)
     else:
         weights = uniform_weights(len(DEFAULT_CLASS_NAMES))
     loss = LossConfig(kind=spec.loss_kind, gamma=spec.gamma, class_weights=weights)
+    train_set = load_utterances(train_entries)
+    dev_set = load_utterances(dev_entries)
 
     mseed = model_seed(base_seed, spec.tag)
     model_cfg = cfg.model_config(audio_dim=train_set[0].audio.shape[1],
@@ -246,6 +262,8 @@ def run_model(cfg: ExperimentConfig, spec: ModelSpec, data_dir=None, out_dir=Non
 
     tag_dir = out_dir / spec.tag
     tag_dir.mkdir(parents=True, exist_ok=True)
+    for stale in ("report.json", "predictions.jsonl"):
+        (tag_dir / stale).unlink(missing_ok=True)
     ckpt = tag_dir / "checkpoint.bin"
     report = train(Model(model_cfg), train_set, dev_set, train_cfg, ckpt,
                    log_path=tag_dir / "log.jsonl", model_tag=spec.tag)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import autodiff
 from .autodiff import Tensor, clamp_min, gather_rows, log, mul, neg, pow_const, tmean
 from .data import check_fields
 
@@ -79,7 +80,8 @@ def focal_loss(true_probs: Tensor, gamma: float, sample_weights) -> Tensor:
         raise ValueError("focal_loss: empty batch")
     w = Tensor(np.asarray(sample_weights, dtype=true_probs.dtype))
     p = clamp_min(true_probs, PROB_EPS)
-    modulation = pow_const(1.0 - p, gamma)
+    # through the module, so that a tracer patching autodiff.sub sees the call
+    modulation = pow_const(autodiff.sub(Tensor(np.ones((), p.dtype)), p), gamma)
     return tmean(neg(mul(w, mul(modulation, log(p)))))
 
 

@@ -22,7 +22,8 @@ from __future__ import annotations
 import json
 import struct
 import zlib
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -137,7 +138,7 @@ class MlpBlock:
 class TransformerLayer:
     """Post-norm encoder layer: masked single-head attention, then FFN."""
 
-    def __init__(self, store: ParamStore, prefix: str, d: int, ffn_mult: int = 2):
+    def __init__(self, store: ParamStore, prefix: str, d: int):
         self.d = d
         self.wq = store.param(f"{prefix}.attn.wq", (d, d), fan_in=d)
         self.wk = store.param(f"{prefix}.attn.wk", (d, d), fan_in=d)
@@ -149,7 +150,7 @@ class TransformerLayer:
         self.bo = store.param(f"{prefix}.attn.bo", (d,), init="zeros")
         self.ln1_gain = store.param(f"{prefix}.ln1.gain", (d,), init="ones")
         self.ln1_bias = store.param(f"{prefix}.ln1.bias", (d,), init="zeros")
-        self.ffn = MlpBlock(store, f"{prefix}.ffn", d, ffn_mult * d, d)
+        self.ffn = MlpBlock(store, f"{prefix}.ffn", d, 2 * d, d)
         self.ln2_gain = store.param(f"{prefix}.ln2.gain", (d,), init="ones")
         self.ln2_bias = store.param(f"{prefix}.ln2.bias", (d,), init="zeros")
 
@@ -165,7 +166,7 @@ class TransformerLayer:
         scores = mul(matmul(q, transpose_last(k)), 1.0 / np.sqrt(self.d))
         # additive mask: -1e9 drives masked keys' weights to exactly 0 (exp underflow)
         key_bias = ((1.0 - mask) * -1e9).astype(np.float32)[:, None, :]
-        weights = softmax(add(scores, Tensor(key_bias)), axis=-1)
+        weights = softmax(add(scores, Tensor(key_bias)))
         if attn_out is not None:
             attn_out.append(weights.data)
         ctx = add(matmul(matmul(weights, v), self.wo), self.bo)
@@ -200,17 +201,8 @@ def fuse_late(p_audio: Tensor, p_text: Tensor) -> Tensor:
 
 
 def _mean_probs(prob_list: list[Tensor]) -> Tensor:
-    if len(prob_list) == 1:
-        return prob_list[0]
-    mean = mul(_sum(prob_list), 1.0 / len(prob_list))
+    mean = mul(reduce(add, prob_list), 1.0 / len(prob_list))
     return div(mean, tsum(mean, axis=-1, keepdims=True))
-
-
-def _sum(tensors: list[Tensor]) -> Tensor:
-    out = tensors[0]
-    for t in tensors[1:]:
-        out = add(out, t)
-    return out
 
 
 def fuse_tensor(h_audio: Tensor, h_text: Tensor) -> Tensor:
@@ -232,8 +224,8 @@ def fuse_low_rank(h_audio: Tensor, h_text: Tensor, audio_factors: Tensor,
     """Rank-R factorized bilinear fusion.
 
     out = sum_r (W_a^(r) [h_a; 1]) * (W_t^(r) [h_t; 1]) + bias, with the R
-    factor matrices packed column-wise: audio_factors is [(d_a+1), R*k].
-    Parameter count is linear in R, unlike the full outer-product tensor.
+    factor matrices packed column-wise: audio_factors is [(d_a+1), R*k], h_audio
+    is [B, d_a]. Parameter count is linear in R, unlike the full outer-product tensor.
     """
     if rank < 1:
         raise ValueError("rank must be >= 1")
@@ -243,16 +235,9 @@ def fuse_low_rank(h_audio: Tensor, h_text: Tensor, audio_factors: Tensor,
     k = audio_factors.shape[1] // rank
     za = _augment_ones(h_audio)
     zt = _augment_ones(h_text)
-    squeeze = za.ndim == 1
-    if squeeze:
-        za = reshape(za, (1,) + za.shape)
-        zt = reshape(zt, (1,) + zt.shape)
     prod = mul(matmul(za, audio_factors), matmul(zt, text_factors))  # [B, R*k]
     grouped = reshape(prod, prod.shape[:-1] + (rank, k))
-    out = add(tsum(grouped, axis=-2), bias)
-    if squeeze:
-        out = reshape(out, (k,))
-    return out
+    return add(tsum(grouped, axis=-2), bias)
 
 
 # ---------------------------------------------------------------------------
@@ -343,22 +328,22 @@ class Model:
 
         kind = cfg.fusion
         if kind == "early":
-            return softmax(self.fused_head(fuse_early(h_a, h_t)), axis=-1)
+            return softmax(self.fused_head(fuse_early(h_a, h_t)))
         if kind == "late":
-            return fuse_late(softmax(self.audio_head(h_a), axis=-1),
-                             softmax(self.text_head(h_t), axis=-1))
+            return fuse_late(softmax(self.audio_head(h_a)),
+                             softmax(self.text_head(h_t)))
         if kind == "early_plus_late":
-            return _mean_probs([softmax(self.fused_head(fuse_early(h_a, h_t)), axis=-1),
-                                softmax(self.audio_head(h_a), axis=-1),
-                                softmax(self.text_head(h_t), axis=-1)])
+            return _mean_probs([softmax(self.fused_head(fuse_early(h_a, h_t))),
+                                softmax(self.audio_head(h_a)),
+                                softmax(self.text_head(h_t))])
         if kind == "tensor":
             z = fuse_tensor(h_a, h_t)
             proj = add(matmul(z, self.fuse_proj_w), self.fuse_proj_b)
-            return softmax(self.fused_head(proj), axis=-1)
+            return softmax(self.fused_head(proj))
         # low_rank_tensor
         z = fuse_low_rank(h_a, h_t, self.lmf_audio, self.lmf_text,
                           self.lmf_bias, cfg.lmf_rank)
-        return softmax(self.fused_head(z), axis=-1)
+        return softmax(self.fused_head(z))
 
     def predict_probs(self, batch: Batch) -> np.ndarray:
         """Eval-mode class probabilities as an array, [batch, n_classes].

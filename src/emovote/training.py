@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -52,7 +52,6 @@ class TrainConfig:
     max_epochs: int = 20
     scheduler: SchedulerConfig = field(default_factory=SchedulerConfig)
     loss: LossConfig = field(default_factory=LossConfig)
-    clip_norm: float = 5.0
     seed: int = 0
 
     def __post_init__(self):
@@ -64,8 +63,6 @@ class TrainConfig:
             raise ValueError("max_epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.clip_norm <= 0:
-            raise ValueError("clip_norm must be > 0")
 
 
 class PlateauScheduler:
@@ -93,6 +90,12 @@ class PlateauScheduler:
         return self.lr
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+CLIP_NORM = 5.0
+
+
 class Adam:
     """Adam over a named parameter dict, with global-norm gradient clipping.
 
@@ -100,12 +103,9 @@ class Adam:
     sorted name order so the reduction order is fixed.
     """
 
-    def __init__(self, params: dict, lr: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8, clip_norm: float = 5.0):
+    def __init__(self, params: dict, lr: float):
         self.params = params
         self.lr = float(lr)
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.clip_norm = clip_norm
         self.t = 0
         self.m = {n: np.zeros_like(p.data) for n, p in params.items()}
         self.v = {n: np.zeros_like(p.data) for n, p in params.items()}
@@ -126,10 +126,10 @@ class Adam:
             # a float64 sum of squares of float32 gradients cannot overflow, so
             # some element is NaN or Inf
             raise NumericsError(f"gradient norm is {norm}")
-        scale = self.clip_norm / norm if norm > self.clip_norm else 1.0
+        scale = CLIP_NORM / norm if norm > CLIP_NORM else 1.0
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - ADAM_BETA1 ** self.t
+        bc2 = 1.0 - ADAM_BETA2 ** self.t
         for name in sorted(self.params):
             p = self.params[name]
             if p.grad is None:
@@ -139,7 +139,7 @@ class Adam:
             # contiguous so the in-place update lands in the originals
             kernels.adam_step(p.data.reshape(-1), np.ascontiguousarray(g).reshape(-1),
                               self.m[name].reshape(-1), self.v[name].reshape(-1),
-                              self.lr, self.beta1, self.beta2, self.eps, bc1, bc2)
+                              self.lr, ADAM_BETA1, ADAM_BETA2, ADAM_EPS, bc1, bc2)
 
 
 @dataclass
@@ -158,10 +158,7 @@ class TrainReport:
     best_records: list[PredictionRecord] = field(default_factory=list, repr=False)
 
     def as_dict(self) -> dict:
-        return {"train_loss": self.train_loss, "dev_macro_f1": self.dev_macro_f1,
-                "dev_wa": self.dev_wa, "dev_ua": self.dev_ua, "lr_trace": self.lr_trace,
-                "best_epoch": self.best_epoch, "best_checkpoint": self.best_checkpoint,
-                "wall_seconds": self.wall_seconds}
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "best_records"}
 
     def save(self, path):
         _atomic_write_bytes(path, (json.dumps(self.as_dict(), indent=2) + "\n").encode())
@@ -230,7 +227,7 @@ def train(model: Model, train_set: list[Utterance], dev_set: list[Utterance],
     checkpoint_path = Path(checkpoint_path)
     started = time.monotonic()
     sched = PlateauScheduler(cfg.initial_lr, cfg.scheduler.factor, cfg.scheduler.patience)
-    opt = Adam(model.parameters, lr=cfg.initial_lr, clip_norm=cfg.clip_norm)
+    opt = Adam(model.parameters, lr=cfg.initial_lr)
     if log_path is not None:
         log_path = Path(log_path)
         log_path.parent.mkdir(parents=True, exist_ok=True)

@@ -231,13 +231,16 @@ def test_softmax_simplex_property(rng):
         np.testing.assert_allclose(out.data.sum(axis=-1), 1.0, atol=1e-6)
 
 
-def test_softmax_gradient_all_axes():
-    check_op(lambda ls: tsum(mul(softmax(ls[0], axis=-1), ls[1])),
+def test_softmax_gradient():
+    check_op(lambda ls: tsum(mul(softmax(ls[0]), ls[1])),
              shapes=((3, 4), (3, 4)))
-    check_op(lambda ls: tsum(mul(softmax(ls[0], axis=0), ls[1])),
-             shapes=((3, 4), (3, 4)))
-    check_op(lambda ls: tsum(mul(softmax(ls[0], axis=1), ls[1])),
+    check_op(lambda ls: tsum(mul(softmax(ls[0], axis=2), ls[1])),
              shapes=((2, 3, 4), (2, 3, 4)))
+
+
+def test_softmax_refuses_an_axis_other_than_the_last():
+    with pytest.raises(ShapeError, match="last axis"):
+        softmax(leaf(np.ones((3, 4))), axis=0)
 
 
 def test_layer_norm_gradient():
@@ -253,31 +256,36 @@ def test_layer_norm_3d_gradient():
 
 
 def test_masked_mean_pool_fixtures():
-    frames = leaf([[1.0], [3.0]])
-    out = masked_mean_pool(frames, np.array([1.0, 1.0]))
-    np.testing.assert_array_equal(out.data, [2.0])
+    frames = leaf([[[1.0], [3.0]]])
+    out = masked_mean_pool(frames, np.array([[1.0, 1.0]]))
+    np.testing.assert_array_equal(out.data, [[2.0]])
 
-    frames = leaf([[1.0], [3.0], [99.0]])
-    out = masked_mean_pool(frames, np.array([1.0, 1.0, 0.0]))
-    np.testing.assert_array_equal(out.data, [2.0])
+    frames = leaf([[[1.0], [3.0], [99.0]], [[4.0], [5.0], [6.0]]])
+    out = masked_mean_pool(frames, np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0]]))
+    np.testing.assert_array_equal(out.data, [[2.0], [5.0]])
 
-    const = leaf(np.full((4, 3), 7.0))
-    out = masked_mean_pool(const, np.array([1.0, 0.0, 1.0, 1.0]))
+    const = leaf(np.full((1, 4, 3), 7.0))
+    out = masked_mean_pool(const, np.array([[1.0, 0.0, 1.0, 1.0]]))
     np.testing.assert_allclose(out.data, 7.0)
 
 
 def test_masked_mean_pool_rejects_empty_mask():
     with pytest.raises(EmptySequenceError):
-        masked_mean_pool(leaf(np.ones((3, 2))), np.zeros(3))
+        masked_mean_pool(leaf(np.ones((2, 3, 2))), np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+
+
+def test_masked_mean_pool_needs_batched_input():
+    with pytest.raises(ShapeError, match=r"\[B, T, d\]"):
+        masked_mean_pool(leaf(np.ones((3, 2))), np.ones(3))
 
 
 def test_masked_mean_pool_ignores_masked_values_and_gradients():
     rng = np.random.default_rng(0)
-    base = rng.standard_normal((4, 3))
-    mask = np.array([1.0, 1.0, 0.0, 1.0])
+    base = rng.standard_normal((1, 4, 3))
+    mask = np.array([[1.0, 1.0, 0.0, 1.0]])
     x1 = leaf(base)
     poisoned = base.copy()
-    poisoned[2] = 1e6
+    poisoned[0, 2] = 1e6
     x2 = leaf(poisoned)
     o1 = tsum(mul(masked_mean_pool(x1, mask), masked_mean_pool(x1, mask)))
     o2 = tsum(mul(masked_mean_pool(x2, mask), masked_mean_pool(x2, mask)))
@@ -285,14 +293,10 @@ def test_masked_mean_pool_ignores_masked_values_and_gradients():
     o1.backward()
     o2.backward()
     np.testing.assert_array_equal(x1.grad, x2.grad)
-    np.testing.assert_array_equal(x1.grad[2], np.zeros(3))
+    np.testing.assert_array_equal(x1.grad[0, 2], np.zeros(3))
 
 
 def test_masked_mean_pool_gradient():
-    mask = np.array([1.0, 0.0, 1.0])
-    check_op(lambda ls: tsum(mul(masked_mean_pool(ls[0], mask),
-                            masked_mean_pool(ls[0], mask))),
-             shapes=((3, 4),))
     bmask = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
     check_op(lambda ls: tsum(mul(masked_mean_pool(ls[0], bmask),
                             masked_mean_pool(ls[0], bmask))),

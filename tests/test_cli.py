@@ -11,7 +11,7 @@ import pytest
 from emovote import autodiff, data, experiment, training
 from emovote.cli import main
 from emovote.data import (DEFAULT_CLASS_NAMES, SyntheticSpec, generate_synthetic,
-                          load_manifest, load_utterances, read_features)
+                          load_manifest, load_utterances, read_features, write_manifest)
 from emovote.ensemble import read_records, write_records
 from emovote.experiment import (AUDIO_SOURCES, ExperimentConfig, ModelSpec,
                                 default_models, load_experiment_config,
@@ -271,10 +271,9 @@ def test_gen_data_bad_spec_value_fails_naming_the_file(tmp_path, capsys):
 
 @pytest.mark.parametrize("bad,reason", [({"seed": 1.5}, "seed must be an integer"),
                                         ({"max_len": 20.5}, "max_len must be an integer"),
-                                        ({"audio_variant": True},
-                                         "audio_variant must be an integer"),
+                                        ({"text_dim": True}, "text_dim must be an integer"),
                                         ({"seed": -1}, "seed and audio_variant must be >= 0")],
-                         ids=["seed", "max_len", "audio_variant", "negative_seed"])
+                         ids=["seed", "max_len", "text_dim", "negative_seed"])
 def test_gen_data_bad_spec_count_fails_naming_the_file(tmp_path, capsys, bad, reason):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({**SPEC_JSON, **bad}))
@@ -282,6 +281,20 @@ def test_gen_data_bad_spec_count_fails_naming_the_file(tmp_path, capsys, bad, re
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: ") and reason in err
+    assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("keys", [{"audio_dim": 12, "audio_variant": 5}, {"audio_dim": 32}],
+                         ids=["both", "audio_dim"])
+def test_gen_data_spec_setting_a_per_source_key_fails_naming_the_file(tmp_path, capsys, keys):
+    path = tmp_path / "spec.yaml"
+    path.write_text("".join(f"{k}: {v}\n" for k, v in keys.items()))
+    code = main(["gen-data", "--out", str(tmp_path / "d"), "--spec", str(path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: bad synthetic spec: {sorted(keys)} cannot be set: "
+                          "each audio source sets its own")
+    assert "'wavlm': {'variant': 1, 'dim': 28}" in err
     assert not (tmp_path / "d").exists()
 
 
@@ -394,6 +407,59 @@ def test_train_unknown_tag_fails(cli_data_dir, config_file, tmp_path, capsys):
                  "--data", str(cli_data_dir), "--out", str(tmp_path / "x")])
     assert code == 1
     assert "model9" in capsys.readouterr().err
+
+
+def test_train_prior_weights_without_a_class_fail_before_reading_features(
+        cli_data_dir, config_file, tmp_path, monkeypatch, capsys):
+    manifest = tmp_path / "data" / "whisper" / "train.tsv"
+    fear = DEFAULT_CLASS_NAMES.index("Fear")
+    write_manifest(manifest, [e for e in load_manifest(cli_data_dir / "whisper" / "train.tsv")
+                              if e.label != fear])
+    write_manifest(manifest.with_name("dev.tsv"),
+                   load_manifest(cli_data_dir / "whisper" / "dev.tsv"))
+
+    def no_read(p):
+        raise AssertionError(f"feature file {p} opened before the prior weights were checked")
+
+    monkeypatch.setattr(data, "read_features", no_read)
+    code = main(["train", "--config", str(config_file), "--tag", "model1",
+                 "--data", str(tmp_path / "data"), "--out", str(tmp_path / "runs")])
+    assert code == 1
+    assert capsys.readouterr().err == (f"error: {manifest}: model1 uses prior weights, "
+                                       "undefined without a Fear utterance\n")
+
+
+def test_a_rerun_replaces_the_report_and_predictions_or_leaves_neither(
+        cli_data_dir, config_file, tmp_path, monkeypatch, capsys):
+    """A rerun into the same directory writes the first run's bytes (apart from the
+    wall time); a rerun that fails after its first checkpoint leaves no report.json
+    and no predictions.jsonl beside the new checkpoint."""
+    argv = ["train", "--config", str(config_file), "--tag", "model5",
+            "--data", str(cli_data_dir), "--out", str(tmp_path / "runs")]
+    tag_dir = tmp_path / "runs" / "model5"
+    names = ("checkpoint.bin", "log.jsonl", "predictions.jsonl", "report.json")
+
+    def files():
+        out = {name: (tag_dir / name).read_bytes() for name in names}
+        report = json.loads(out.pop("report.json"))
+        del report["wall_seconds"]
+        return out, report
+
+    assert main(argv) == 0
+    first = files()
+    assert main(argv) == 0
+    assert files() == first
+
+    real_save = training.save_checkpoint
+
+    def save_then_fail(path, m):
+        real_save(path, m)
+        raise RuntimeError("stopped after the first checkpoint")
+
+    monkeypatch.setattr(training, "save_checkpoint", save_then_fail)
+    assert main(argv) == 1
+    assert "stopped after the first checkpoint" in capsys.readouterr().err
+    assert sorted(p.name for p in tag_dir.iterdir()) == ["checkpoint.bin", "log.jsonl"]
 
 
 # ---------------------------------------------------------------------------
@@ -800,9 +866,9 @@ def test_synthetic_spec_file_loading(tmp_path, spec_file):
     assert spec.text_dim == SPEC_JSON["text_dim"]
     assert spec.seed == SPEC_JSON["seed"]
     yaml_path = tmp_path / "spec.yaml"
-    yaml_path.write_text("separability: 1.5\naudio_dim: 12\n")
+    yaml_path.write_text("separability: 1.5\ntext_dim: 12\n")
     spec = load_synthetic_spec(yaml_path)
-    assert spec.separability == 1.5 and spec.audio_dim == 12
+    assert spec.separability == 1.5 and spec.text_dim == 12
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(["not", "a", "mapping"]))
     with pytest.raises(ValueError, match="mapping"):

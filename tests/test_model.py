@@ -181,14 +181,14 @@ def test_fuse_tensor_batched_matches_rows(rng):
 def test_fuse_low_rank_matches_explicit_tensor_oracle(rng):
     """LMF must equal the full outer product followed by the implied linear map."""
     d_a, d_t, rank, k = 2, 3, 2, 4
-    a = rng.standard_normal(d_a)
-    t = rng.standard_normal(d_t)
+    a = rng.standard_normal((1, d_a))
+    t = rng.standard_normal((1, d_t))
     fa = rng.standard_normal((d_a + 1, rank * k))
     ft = rng.standard_normal((d_t + 1, rank * k))
     bias = rng.standard_normal(k)
     out = fuse_low_rank(leaf(a), leaf(t), leaf(fa), leaf(ft), leaf(bias), rank).data
 
-    za, zt = np.append(a, 1.0), np.append(t, 1.0)
+    za, zt = np.append(a[0], 1.0), np.append(t[0], 1.0)
     implied_w = np.zeros(((d_a + 1) * (d_t + 1), k))
     for r in range(rank):
         ar = fa[:, r * k:(r + 1) * k]
@@ -196,7 +196,7 @@ def test_fuse_low_rank_matches_explicit_tensor_oracle(rng):
         for kk in range(k):
             implied_w[:, kk] += np.outer(ar[:, kk], tr[:, kk]).ravel()
     oracle = np.outer(za, zt).ravel() @ implied_w + bias
-    np.testing.assert_allclose(out, oracle, rtol=1e-12)
+    np.testing.assert_allclose(out[0], oracle, rtol=1e-12)
 
 
 def test_fuse_low_rank_batched_matches_rows(rng):
@@ -209,12 +209,12 @@ def test_fuse_low_rank_batched_matches_rows(rng):
     batched = fuse_low_rank(leaf(a), leaf(t), fa, ft, bias, rank).data
     assert batched.shape == (6, k)
     for i in range(6):
-        row = fuse_low_rank(leaf(a[i]), leaf(t[i]), fa, ft, bias, rank).data
-        np.testing.assert_allclose(batched[i], row, rtol=1e-12)
+        row = fuse_low_rank(leaf(a[i:i + 1]), leaf(t[i:i + 1]), fa, ft, bias, rank).data
+        np.testing.assert_allclose(batched[i], row[0], rtol=1e-12)
 
 
 def test_fuse_low_rank_validates_factors(rng):
-    a, t = leaf(rng.standard_normal(2)), leaf(rng.standard_normal(2))
+    a, t = leaf(rng.standard_normal((1, 2))), leaf(rng.standard_normal((1, 2)))
     fa = leaf(rng.standard_normal((3, 8)))
     with pytest.raises(ShapeError, match="factor widths"):
         fuse_low_rank(a, t, fa, leaf(rng.standard_normal((3, 6))), leaf(np.zeros(4)), 2)
@@ -225,8 +225,8 @@ def test_fuse_low_rank_validates_factors(rng):
 
 
 def test_fusion_gradients(rng):
-    a = leaf(rng.standard_normal(3))
-    t = leaf(rng.standard_normal(2))
+    a = leaf(rng.standard_normal((2, 3)))
+    t = leaf(rng.standard_normal((2, 2)))
     rel = grad_check(lambda: tsum(fuse_tensor(a, t)), [a, t], rng=rng)
     assert rel < 1e-6
 

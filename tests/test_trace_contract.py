@@ -3,7 +3,8 @@
 The tracer replaces module and class attributes by name and calls
 ``Model.forward`` with its keywords, so renaming one of them breaks traced
 benchmark runs. These run one tiny member, and the benchmark's ensemble stage,
-with the tracer installed.
+with the tracer installed. The untraced benchmark also reaches library names:
+the kernel microbenchmark and the environment record are called here once each.
 """
 
 from types import SimpleNamespace
@@ -12,7 +13,7 @@ import numpy as np
 
 from emovote import data, ensemble, experiment, model, training
 from emovote.experiment import ExperimentConfig, ModelSpec
-from perfbench import pipeline
+from perfbench import envinfo, kernel_timings, pipeline
 from perfbench.trace import Tracer
 from perfbench.workloads import WORKLOADS
 
@@ -72,3 +73,13 @@ def test_tracer_spans_the_ensemble_stage(tiny_spec, tmp_path):
                         ("ensemble.report", 1), ("data.load_manifest", 1),
                         ("metrics.bundle", 4)):
         assert totals[name][0] == calls, name
+
+
+def test_kernel_microbenchmark_and_environment_reach_the_library(tmp_path):
+    """perfbench/kernel_timings.py calls each kernel's ``*_numpy`` name and
+    perfbench/envinfo.py calls ``kernels.active_backend``."""
+    timings = kernel_timings.time_kernels(repeats=1)
+    assert sorted(timings) == ["adam_step", "layernorm_bwd", "layernorm_fwd", "levenshtein",
+                               "softmax_bwd", "softmax_fwd"]
+    assert all(ms >= 0 for ms in timings.values())
+    assert envinfo.environment(tmp_path, {})["kernel_backend"] == "numpy"

@@ -53,8 +53,6 @@ def test_train_config_validation():
         tiny_train_config(max_epochs=0)
     with pytest.raises(ValueError, match="batch_size"):
         tiny_train_config(batch_size=0)
-    with pytest.raises(ValueError, match="clip_norm"):
-        tiny_train_config(clip_norm=0.0)
     with pytest.raises(TypeError, match="max_epochs must be an integer"):
         tiny_train_config(max_epochs=1.5)
     with pytest.raises(TypeError, match="batch_size must be an integer"):
@@ -131,10 +129,13 @@ def test_adam_grad_norm_matches_reference(rng):
 
 def test_adam_step_matches_reference_formula(rng):
     params = _toy_params(rng)
+    for p in params.values():
+        p.grad *= np.float32(0.1)  # under the clipping norm
     start = {n: p.data.copy() for n, p in params.items()}
     grads = {n: p.grad.copy() for n, p in params.items()}
-    opt = Adam(params, lr=1e-2, clip_norm=1e9)  # clipping disabled
-    b1, b2, eps = opt.beta1, opt.beta2, opt.eps
+    opt = Adam(params, lr=1e-2)
+    assert opt.grad_norm() < training.CLIP_NORM
+    b1, b2, eps = training.ADAM_BETA1, training.ADAM_BETA2, training.ADAM_EPS
     m = {n: np.zeros_like(g, dtype=np.float64) for n, g in grads.items()}
     v = {n: np.zeros_like(g, dtype=np.float64) for n, g in grads.items()}
     ref = {n: d.astype(np.float64) for n, d in start.items()}
@@ -152,17 +153,20 @@ def test_adam_step_matches_reference_formula(rng):
         assert not np.array_equal(params[n].data, start[n])
 
 
-def test_adam_clipping_equals_prescaled_gradients(rng):
+def test_adam_clipping_equals_prescaled_gradients(rng, monkeypatch):
     params_a = _toy_params(rng)
+    for p in params_a.values():
+        p.grad *= np.float32(4.0)
     norm = Adam(params_a, lr=1e-2).grad_norm()
-    clip = norm / 2.0  # force scale = 0.5
+    assert norm > training.CLIP_NORM
     params_b = {n: Tensor(p.data.copy(), requires_grad=True)
                 for n, p in params_a.items()}
-    scale = np.float32(clip / norm)
+    scale = np.float32(training.CLIP_NORM / norm)
     for n, p in params_a.items():
         params_b[n].grad = p.grad * scale
-    Adam(params_a, lr=1e-2, clip_norm=clip).step()
-    Adam(params_b, lr=1e-2, clip_norm=1e9).step()
+    Adam(params_a, lr=1e-2).step()
+    monkeypatch.setattr(training, "CLIP_NORM", math.inf)  # the copy is already scaled
+    Adam(params_b, lr=1e-2).step()
     for n in params_a:
         np.testing.assert_array_equal(params_a[n].data, params_b[n].data)
 
@@ -434,7 +438,7 @@ def _inf_loss_from_step_5(monkeypatch, model):
     def loss_times_inf(probs, labels, loss_cfg):
         calls.append(None)
         loss = compute_loss(probs, labels, loss_cfg)
-        return loss * np.float32(np.inf) if len(calls) >= 5 else loss
+        return autodiff.mul(loss, np.float32(np.inf)) if len(calls) >= 5 else loss
 
     monkeypatch.setattr(training, "compute_loss", loss_times_inf)
 
